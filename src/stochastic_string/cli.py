@@ -4,7 +4,7 @@ Every run writes columnar text artifacts whose header embeds the full run
 configuration as ``# key = value`` lines; parsing the header back yields a
 RunConfig that reproduces the run byte-for-byte (the timestamp line is
 suppressible for that purpose). Exit codes: 0 success, 1 validation
-error, 2 numerical failure.
+error or out of memory, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -241,7 +241,10 @@ def _cmd_simulate(cfg: RunConfig, out: str) -> int:
     path = Path(out) / "ensemble.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     sde.export_ensemble(ensemble, path, header_lines=cfg.header_lines())
-    print(f"wrote {path} ({ensemble.count} trajectories, clamp events: {ensemble.clamp_events})")
+    print(
+        f"wrote {path} ({ensemble.count} trajectories, clamp events: {ensemble.clamp_events}, "
+        f"node crossings: {ensemble.node_crossings})"
+    )
     return EXIT_OK
 
 
@@ -404,7 +407,13 @@ def run(argv: list[str] | None = None) -> int:
         errors = validate(cfg.params())
         if errors:
             raise ValidationError("; ".join(errors))
-        return _COMMANDS[args.command](cfg, getattr(args, "out", "."))
+        try:
+            return _COMMANDS[args.command](cfg, getattr(args, "out", "."))
+        except MemoryError:
+            raise ValidationError(
+                f"out of memory for count = {cfg.count} trajectories and "
+                f"steps = {cfg.steps}; lower -M/--count or --steps"
+            ) from None
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

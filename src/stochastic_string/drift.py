@@ -149,12 +149,21 @@ class StationaryModeState:
         Returns ``(drift, n_clamped)``: values outside [-cap, cap] (including
         the infinities produced exactly at nodes) are clamped and counted.
         Nelson diffusions never cross a node, so the clamp only regularizes
-        rare near-node evaluations in a discrete-time integrator.
+        rare near-node evaluations in a discrete-time integrator (which can
+        still step across a node; ``sde.simulate`` counts those crossings).
         """
         x = np.asarray(x, dtype=float)
         if self.n == 0:
             return np.full_like(x, 2.0 * self.params.alpha_prime * self.momentum), 0
-        drift = self.nu * self.log_density_gradient(x)
+        if self.k == 0:
+            # log_density_gradient's k = 0 operations in its order (H_0 = 1,
+            # H_0' = 0), so the values are bit-identical to the general path
+            beta = self.scale
+            drift = self.nu * (beta * (0.0 - 2.0 * (beta * x)))
+            if np.all(np.abs(drift) <= cap):
+                return drift, 0
+        else:
+            drift = self.nu * self.log_density_gradient(x)
         n_clamped = int(np.count_nonzero(~(np.abs(drift) <= cap)))
         drift = np.nan_to_num(drift, nan=cap, posinf=cap, neginf=-cap)
         return np.clip(drift, -cap, cap), n_clamped

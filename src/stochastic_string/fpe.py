@@ -276,8 +276,10 @@ def export_field(field: GridField, path: str | Path, header_lines: Sequence[str]
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("x rho S\n")
-        for x, r, s in zip(field.x, field.rho, field.S):
-            fh.write(f"{float(x)!r} {float(r)!r} {float(s)!r}\n")
+        fh.write("".join([
+            f"{x!r} {r!r} {s!r}\n"
+            for x, r, s in zip(field.x.tolist(), field.rho.tolist(), field.S.tolist())
+        ]))
 
 
 def import_field(path: str | Path) -> GridField:

@@ -1,9 +1,13 @@
 """Forward-SDE Monte Carlo engine for single mode amplitudes.
 
 Integrates dq = v_plus(q) dtau + dw with Euler-Maruyama, where the noise
-increment satisfies <dw> = 0 and <dw dw> = 2 nu_n dtau. Trajectories are
-driven by counter-based Philox streams keyed by (seed, trajectory index),
-so runs are bit-identical regardless of chunking or execution order.
+increment satisfies <dw> = 0 and <dw dw> = 2 nu_n dtau. Trajectory j is
+driven by the counter-based Philox stream keyed by (seed, j) from counter 0,
+so runs are bit-identical regardless of chunking or execution order. One
+``Generator`` serves a whole ``simulate`` call: before each trajectory its
+bit generator is re-keyed in place, which yields exactly the draws of a
+freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
+building one per trajectory.
 """
 
 from __future__ import annotations
@@ -60,7 +64,10 @@ class Ensemble:
 
     ``samples[j, t]`` is trajectory j at recorded index t; recorded indices
     are ``record_stride`` integration steps apart. ``clamp_events`` counts
-    drift evaluations limited by the configured cap.
+    drift evaluations limited by the configured cap; ``node_crossings``
+    counts (trajectory, step) pairs whose amplitude moved across a node of
+    the stationary density between consecutive integration steps (the
+    continuous diffusion never does; the discrete integrator can).
     """
 
     params: StringParams
@@ -74,6 +81,7 @@ class Ensemble:
     record_stride: int
     samples: np.ndarray
     clamp_events: int = 0
+    node_crossings: int = 0
 
     @property
     def count(self) -> int:
@@ -101,9 +109,24 @@ class Ensemble:
         return self.samples[:, t]
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Reset ``rng``'s Philox bit generator to the stream of trajectory ``index``.
+
+    Key ``[seed mod 2**64, index]``, counter 0 and an empty output buffer:
+    the state of ``Philox(key=...)`` when freshly built.
+    """
+    zeros = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": zeros,
+            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64),
+        },
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def spawn_seed(seed: int, n: int, i: int) -> int:
@@ -162,10 +185,14 @@ def simulate(
     elif nu < 0:
         raise ValidationError(f"nu must be >= 0, got {nu}")
 
+    draw_initial = _initial_sampler(mode_state, init)
+    nodes = mode_state.nodes()
     n_recorded = steps // record_stride + 1
     samples = np.empty((count, n_recorded), dtype=float)
     noise_scale = math.sqrt(2.0 * nu * d_tau)
     clamp_events = 0
+    node_crossings = 0
+    rng = np.random.Generator(np.random.Philox())
 
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
@@ -173,12 +200,14 @@ def simulate(
         noise = np.empty((block, steps))
         q0 = np.empty(block)
         for j in range(block):
-            rng = _trajectory_rng(seed, start + j)
-            q0[j] = _draw_initial(mode_state, init, rng)
-            noise[j] = rng.standard_normal(steps)
-        _check_initial_drift(mode_state, q0, start)
+            _rekey(rng, seed, start + j)
+            q0[j] = draw_initial(rng)
+            rng.standard_normal(out=noise[j])
+        _check_initial_drift(nodes, q0, start)
         q = q0
         samples[start:stop, 0] = q
+        if nodes.size:
+            domain = np.searchsorted(nodes, q)
         # finiteness is checked explicitly each step; let overflows reach it
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
@@ -189,6 +218,10 @@ def simulate(
                 if bad.any():
                     j = int(np.argmax(bad))
                     raise NonFiniteSampleError(start + j, t + 1)
+                if nodes.size:
+                    next_domain = np.searchsorted(nodes, q)
+                    node_crossings += int(np.count_nonzero(next_domain != domain))
+                    domain = next_domain
                 if (t + 1) % record_stride == 0:
                     samples[start:stop, (t + 1) // record_stride] = q
 
@@ -204,12 +237,14 @@ def simulate(
         record_stride=record_stride,
         samples=samples,
         clamp_events=clamp_events,
+        node_crossings=node_crossings,
     )
 
 
-def _draw_initial(
-    mode_state: StationaryModeState, init, rng: np.random.Generator
-) -> float:
+def _initial_sampler(
+    mode_state: StationaryModeState, init
+) -> Callable[[np.random.Generator], float]:
+    """``rng -> q_0`` for one trajectory, with ``init`` dispatched once."""
     if isinstance(init, str):
         if init != "stationary":
             raise ValidationError(f"unknown init mode {init!r}")
@@ -217,16 +252,20 @@ def _draw_initial(
             raise ValidationError(
                 "zero mode has no stationary density; give a numeric init"
             )
-        return float(mode_state.sample_stationary(rng, 1)[0])
+        if mode_state.k == 0:
+            # the draw sample_stationary makes for the ground state
+            sigma = mode_state.sigma
+            return lambda rng: float(rng.normal(0.0, sigma))
+        return lambda rng: float(mode_state.sample_stationary(rng, 1)[0])
     if callable(init):
-        return float(np.asarray(init(rng, 1)).reshape(-1)[0])
-    return float(init)
+        return lambda rng: float(np.asarray(init(rng, 1)).reshape(-1)[0])
+    q0 = float(init)
+    return lambda rng: q0
 
 
-def _check_initial_drift(mode_state, q0: np.ndarray, offset: int) -> None:
-    if mode_state.n == 0 or mode_state.k == 0:
+def _check_initial_drift(nodes: np.ndarray, q0: np.ndarray, offset: int) -> None:
+    if not nodes.size:
         return
-    nodes = mode_state.nodes()
     for j, q in enumerate(q0):
         if np.any(nodes == q):
             raise ValidationError(
@@ -406,15 +445,20 @@ def second_law_check(
 
 def export_ensemble(ensemble: Ensemble, path: str | Path, header_lines: Sequence[str] = ()) -> None:
     """Write the ensemble as columnar text: trajectory_id, step, tau, q."""
-    taus = ensemble.recorded_taus()
+    stride = ensemble.record_stride
+    columns = [
+        f" {t * stride} {tau!r} " for t, tau in enumerate(ensemble.recorded_taus().tolist())
+    ]
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("trajectory_id step tau q\n")
+        # one trajectory at a time: converting the whole ensemble to Python
+        # floats at once would hold every sample as an object
         for j in range(ensemble.count):
-            row = ensemble.samples[j]
-            for t, q in enumerate(row):
-                fh.write(f"{j} {t * ensemble.record_stride} {float(taus[t])!r} {float(q)!r}\n")
+            fh.write("".join(
+                [f"{j}{col}{q!r}\n" for col, q in zip(columns, ensemble.samples[j].tolist())]
+            ))
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -70,6 +70,22 @@ def test_stability_violation_exit_code(tmp_path, capsys):
     assert "bound" in capsys.readouterr().err.lower()
 
 
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    from stochastic_string import sde
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sde, "simulate", no_memory)
+    code = run([
+        "simulate", "--n", "1", "-M", "50", "--steps", "70",
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "count = 50" in err and "steps = 70" in err
+
+
 def test_spectrum_output(tmp_path):
     code = run([
         "spectrum", "--max-level", "2", "--zeta-intercept",

@@ -113,6 +113,20 @@ def test_forward_drift_array_clamps_and_counts(params):
     assert np.all(np.isfinite(drift))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_ground_state_drift_bit_identical_to_log_gradient(params, n):
+    state = StationaryModeState(params, n, 0)
+    x = np.random.default_rng(n).normal(0.0, 3.0, 5000)
+    x[:2] = (0.0, -0.0)
+    drift, clamped = state.forward_drift_array(x)
+    assert clamped == 0
+    assert drift.tobytes() == (state.nu * state.log_density_gradient(x)).tobytes()
+    drift, clamped = state.forward_drift_array(np.array([0.5, 1e7, -1e7, np.nan]), cap=1e6)
+    assert clamped == 3
+    assert drift[0] == state.nu * state.log_density_gradient(0.5)
+    assert np.array_equal(drift[1:], [-1e6, 1e6, 1e6])
+
+
 def test_energy(params):
     assert StationaryModeState(params, 2, 1).energy() == pytest.approx(3.0)
     assert StationaryModeState(params, 1, 0).energy() == pytest.approx(0.5)

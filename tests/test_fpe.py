@@ -151,6 +151,11 @@ def test_field_export_import(tmp_path, params):
     field = stationary_field(state, -3, 3, 31)
     path = tmp_path / "field.txt"
     fpe.export_field(field, path, header_lines=["note = demo"])
+    body = path.read_text().split("x rho S\n", 1)[1]
+    assert body == "".join(
+        f"{float(x)!r} {float(r)!r} {float(s)!r}\n"
+        for x, r, s in zip(field.x, field.rho, field.S)
+    )
     back = fpe.import_field(path)
     assert back.points == field.points
     np.testing.assert_allclose(back.rho, field.rho)

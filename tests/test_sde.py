@@ -148,6 +148,80 @@ def test_transport_derivative_occupancy_guard(params, ground_spec):
         transport_derivative_check(ens, lambda x: x, probe=np.array([25.0]))
 
 
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 4095, 4096, 12_345])
+def test_rekeyed_stream_equals_fresh_philox(seed, index):
+    fresh = np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    )
+    rng = np.random.Generator(np.random.Philox())
+    # a float32 draw leaves half of a 64-bit output pending in the state
+    rng.random(dtype=np.float32)
+    sde._rekey(rng, seed, index)
+    assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+    assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+    assert np.array_equal(rng.integers(0, 2**40, 5), fresh.integers(0, 2**40, 5))
+
+
+def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, seed, drift_cap=1.0e6):
+    """Euler-Maruyama with a freshly built Philox stream per trajectory and
+    the general Hermite drift: the arithmetic ``simulate`` must reproduce."""
+    state = sde._resolve_state(params, spec, n, i)
+    q = np.empty(count)
+    noise = np.empty((count, steps))
+    for j in range(count):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+        if init == "stationary":
+            q[j] = state.sample_stationary(rng, 1)[0]
+        elif callable(init):
+            q[j] = np.asarray(init(rng, 1)).reshape(-1)[0]
+        else:
+            q[j] = init
+        noise[j] = rng.standard_normal(steps)
+    samples = [q]
+    scale = np.sqrt(2.0 * state.nu * d_tau)
+    for t in range(steps):
+        if n == 0:
+            drift = np.full_like(q, 2.0 * params.alpha_prime * state.momentum)
+        else:
+            drift = state.nu * state.log_density_gradient(q)
+            drift = np.nan_to_num(drift, nan=drift_cap, posinf=drift_cap, neginf=-drift_cap)
+            drift = np.clip(drift, -drift_cap, drift_cap)
+        q = q + drift * d_tau + scale * noise[:, t]
+        samples.append(q)
+    return np.column_stack(samples)
+
+
+@pytest.mark.parametrize(
+    "n, spec, init",
+    [
+        (1, ModeStateSpec(), "stationary"),
+        (2, ModeStateSpec(occupations={(2, 1): 1}), "stationary"),
+        (0, ModeStateSpec(zero_mode_momentum=(0.4,) + (0.0,) * 23), 0.25),
+        (1, ModeStateSpec(), lambda rng, size: rng.normal(1.5, 0.7, size)),
+        (1, ModeStateSpec(), lambda rng, size: rng.random(size, dtype=np.float32)),
+    ],
+    ids=["k0", "k1", "n0", "callable", "callable-float32"],
+)
+def test_simulate_equals_fresh_stream_reference(params, n, spec, init):
+    kwargs = dict(init=init, d_tau=1e-2, steps=12, count=4100, seed=2**64 - 3)
+    ens = simulate(params, spec, n, 1, **kwargs)
+    expected = _fresh_stream_reference(params, spec, n, 1, **kwargs)
+    assert ens.samples.tobytes() == expected.tobytes()
+
+
+def test_node_crossings_counted(params):
+    excited = ModeStateSpec(occupations={(1, 1): 1})
+    ens = simulate(params, excited, 1, 1, d_tau=1e-2, steps=500, count=5000, seed=0)
+    s = ens.samples
+    # the k = 1 density has its only node at q = 0
+    sign_changes = int(np.count_nonzero(np.signbit(s[:, 1:]) != np.signbit(s[:, :-1])))
+    assert ens.node_crossings > 0
+    assert ens.node_crossings == sign_changes
+    ground = simulate(params, ModeStateSpec(), 1, 1, d_tau=1e-2, steps=100, count=500, seed=0)
+    assert ground.node_crossings == 0
+
+
 def test_non_finite_detection(params, ground_spec):
     with pytest.raises(sde.NonFiniteSampleError) as err:
         simulate(
@@ -188,6 +262,21 @@ def test_export_round_trip(tmp_path, params, ground_spec):
     rows = [line.split() for line in lines[2:]]
     assert len(rows) == 2 * 4
     assert float(rows[1][3]) == ens.samples[0, 1]
+
+
+def test_export_matches_row_by_row_format(tmp_path, params, ground_spec):
+    ens = simulate(
+        params, ground_spec, 1, 2, d_tau=0.01, steps=12, count=3, seed=5, record_stride=3
+    )
+    path = tmp_path / "ens.txt"
+    sde.export_ensemble(ens, path)
+    taus = ens.recorded_taus()
+    rows = [
+        f"{j} {t * 3} {float(taus[t])!r} {float(q)!r}\n"
+        for j in range(ens.count)
+        for t, q in enumerate(ens.samples[j])
+    ]
+    assert path.read_text() == "trajectory_id step tau q\n" + "".join(rows)
 
 
 def test_simulate_validation(params, ground_spec):
