@@ -11,11 +11,13 @@ from .brackets import (
     stochastic_bracket,
 )
 from .lorentz import (
+    AlgebraConsistencyError,
     TruncationError,
     UnsupportedComponentError,
     anomaly_coefficient,
     anomaly_report,
     anomaly_value_direct,
+    format_anomaly_report,
     lorentz_generator,
 )
 from .operators import (
@@ -31,6 +33,7 @@ from .operators import (
 from .scalars import Coeff, PolyDA, solve_affine_system
 
 __all__ = [
+    "AlgebraConsistencyError",
     "BracketFunctional",
     "Coeff",
     "ModeCutoffError",
@@ -47,6 +50,7 @@ __all__ = [
     "commutator_expectation",
     "creation",
     "expectation",
+    "format_anomaly_report",
     "grid_functional",
     "identity",
     "lorentz_generator",

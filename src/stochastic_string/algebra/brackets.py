@@ -18,21 +18,13 @@ from typing import Callable
 import numpy as np
 
 from ..core import ModeStateSpec, ValidationError
-from ..fpe import GridField
+from ..fpe import GridField, _gradient
 from .fock import diagonal_ladder_expectation
 from .operators import OperatorExpr, commutator
 
 
 class UnsupportedExpectationError(ValidationError):
     """Expectation value not computable with the supplied state data."""
-
-
-def _grid_gradient(y: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2 * h)
-    out[0] = (y[1] - y[0]) / h
-    out[-1] = (y[-1] - y[-2]) / h
-    return out
 
 
 @dataclass(frozen=True)
@@ -57,8 +49,8 @@ def mean_momentum() -> BracketFunctional:
     """B[rho, S] = integral rho S' dx; dB/dS = -rho' by parts."""
     return BracketFunctional(
         kind="mean-momentum",
-        d_rho=lambda field: _grid_gradient(field.S, field.h),
-        d_S=lambda field: -_grid_gradient(field.rho, field.h),
+        d_rho=lambda field: _gradient(field.S, field.h),
+        d_S=lambda field: -_gradient(field.rho, field.h),
     )
 
 

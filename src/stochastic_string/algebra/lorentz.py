@@ -20,6 +20,7 @@ evaluation at the physical direction count.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..core import StringParams
 from .operators import OperatorExpr, commutator
@@ -34,6 +35,10 @@ class TruncationError(ValueError):
 
 class UnsupportedComponentError(ValueError):
     """Lorentz component outside the implemented light-cone alphabet."""
+
+
+class AlgebraConsistencyError(RuntimeError):
+    """An exact identity of the light-cone algebra failed to hold."""
 
 
 def exact_fraction(value) -> Fraction:
@@ -109,26 +114,20 @@ def alpha_terms_to_expr(terms: list[AlphaTerm]) -> OperatorExpr:
     """Convert alpha-normalized raw terms to a canonical unit-ladder expression."""
     raw = []
     for coeff, word in terms:
-        factor = coeff
         unit = []
+        radicand = 1  # alpha_n is sqrt(|n|) times the unit ladder operator
         for tok in word:
             if tok[0] == "A":
                 n, j = tok[1], tok[2]
-                if n < 0:
-                    unit.append(("c", -n, j))
-                    factor = factor * Coeff.sqrt(-n)
-                else:
-                    unit.append(("a", n, j))
-                    factor = factor * Coeff.sqrt(n)
+                unit.append(("c", -n, j) if n < 0 else ("a", n, j))
+                radicand *= abs(n)
             else:
                 unit.append(tok)
-        raw.append((factor, tuple(unit)))
+        raw.append((coeff if radicand == 1 else coeff * Coeff.sqrt(radicand), tuple(unit)))
     return OperatorExpr.from_raw_terms(raw)
 
 
-_M_MINUS_CACHE: dict[tuple, OperatorExpr] = {}
-
-
+@lru_cache(maxsize=64)
 def m_minus_expr(
     i: int,
     transverse: int,
@@ -137,14 +136,9 @@ def m_minus_expr(
     p_plus: Fraction,
     intercept=None,
 ) -> OperatorExpr:
-    key = (i, transverse, n_max, alpha_prime, p_plus, intercept)
-    expr = _M_MINUS_CACHE.get(key)
-    if expr is None:
-        expr = alpha_terms_to_expr(
-            m_minus_alpha_terms(i, transverse, n_max, alpha_prime, p_plus, intercept)
-        )
-        _M_MINUS_CACHE[key] = expr
-    return expr
+    return alpha_terms_to_expr(
+        m_minus_alpha_terms(i, transverse, n_max, alpha_prime, p_plus, intercept)
+    )
 
 
 def transverse_rotation_expr(i: int, j: int, n_max: int) -> OperatorExpr:
@@ -223,10 +217,10 @@ def _raw_anomalous_coeff(
     m2 = m_minus_expr(2, transverse, n_max, alpha_prime, p_plus, intercept)
     word = _anomalous_word(m)
     partner = (("c", m, 2), ("a", m, 1))
-    comm = commutator(m1, m2, word_filter=lambda w: w == word or w == partner)
+    comm = commutator(m1, m2, words=(word, partner))
     coeff = comm.coefficient(word)
     if not (coeff + comm.coefficient(partner)).is_zero():
-        raise AssertionError("anomalous bilinear is not antisymmetric in (i, j)")
+        raise AlgebraConsistencyError("anomalous bilinear is not antisymmetric in (i, j)")
     return coeff
 
 
@@ -275,7 +269,7 @@ def anomaly_coefficient(m: int, params: StringParams) -> PolyDA:
         c4 = polys[4].get(a_pow, zero)
         slope = c3 - c2
         if c4 - c3 != slope:
-            raise AssertionError(
+            raise AlgebraConsistencyError(
                 f"transverse-trace dependence of Delta_{m} is not affine"
             )
         # c(T) = c2 + (T - 2) slope with T = D - 2
@@ -305,20 +299,22 @@ def anomaly_value_direct(m: int, params: StringParams, intercept) -> Fraction:
     )
     poly = raw.a_polynomial()
     if set(poly) - {0}:
-        raise AssertionError("intercept substitution left symbolic terms")
+        raise AlgebraConsistencyError("intercept substitution left symbolic terms")
     return poly.get(0, Fraction(0)) * _normalization(m, ap, pp)
 
 
 def anomaly_report(params: StringParams, modes=(1, 2)) -> str:
     """Structured text report: polynomial, evaluation at (26, 1), solution set."""
+    return format_anomaly_report([(m, anomaly_coefficient(m, params)) for m in modes])
+
+
+def format_anomaly_report(polys: list[tuple[int, PolyDA]]) -> str:
+    """``anomaly_report`` text for already computed (m, Delta_m) pairs."""
     lines = []
-    polys = []
-    for m in modes:
-        poly = anomaly_coefficient(m, params)
-        polys.append(poly)
+    for m, poly in polys:
         lines.append(f"Delta_{m}(D, a) = {poly!r}")
         lines.append(f"Delta_{m}(26, 1) = {poly.evaluate(26, 1)}")
-    solution = solve_affine_system(polys)
+    solution = solve_affine_system(poly for _, poly in polys)
     if solution[0] == "point":
         lines.append(f"joint solution: D = {solution[1]}, a = {solution[2]}")
     elif solution[0] == "none":

@@ -22,6 +22,8 @@ Token = tuple
 Word = tuple
 
 _CLASS = {"c": 0, "x": 1, "p": 2, "a": 3}
+_ZERO = (Fraction(0), Fraction(0))
+_UNIT = (Fraction(1), Fraction(0))
 
 # word -> {word: (re, im)} cache for the pure reordering kernel
 _ORDER_CACHE: dict[Word, dict[Word, tuple[Fraction, Fraction]]] = {}
@@ -146,9 +148,9 @@ class OperatorExpr:
         for coeff, word in raw:
             if coeff.is_zero():
                 continue
-            for canon, (re, im) in normal_order_word(word).items():
-                scalar = Coeff({(0, 1): (re, im)})
-                _accumulate(out, canon, coeff * scalar)
+            for canon, weight in normal_order_word(word).items():
+                scalar = coeff if weight == _UNIT else coeff * Coeff({(0, 1): weight})
+                _accumulate(out, canon, scalar)
         return OperatorExpr(out)
 
     # -- algebra -----------------------------------------------------------
@@ -236,14 +238,18 @@ def commutator(
     A: OperatorExpr,
     B: OperatorExpr,
     mode_cutoff: int | None = None,
-    word_filter=None,
+    words=None,
 ) -> OperatorExpr:
     """AB - BA, re-canonicalized with exact coefficients.
 
     Word pairs whose generators all commute are skipped outright; their
-    two orderings produce identical canonical terms. ``word_filter``
-    restricts which canonical result words are accumulated (the full
-    Wick expansion still runs; only storage is filtered).
+    two orderings produce identical canonical terms. ``words`` (canonical
+    words) restricts the result to those words and prunes exactly: normal
+    ordering only permutes tokens or deletes contracted a/c and p/x pairs,
+    so a pair (w1, w2) can reach a wanted word W only if W's token multiset
+    is contained in that of w1 + w2 and len(w1) + len(w2) - len(W) is even.
+    No other pair is normal-ordered, and a pair's coefficient product is
+    formed only when it contributes.
     """
     if mode_cutoff is not None:
         for expr in (A, B):
@@ -251,26 +257,40 @@ def commutator(
                 raise ModeCutoffError(
                     f"operator uses mode {expr.max_mode()} beyond cutoff {mode_cutoff}"
                 )
+    wanted = None if words is None else {tuple(w) for w in words}
+    tokens = sorted({t for w in wanted or () for t in w})
+
+    def signature(word):  # all that decides which wanted words a pair can reach
+        return tuple(word.count(t) for t in tokens), len(word) % 2
+
+    targets = [(w, *signature(w)) for w in wanted or ()]
+    groups: dict[tuple | None, list] = {}  # B's words, by signature when pruning
+    for w, c in B.terms.items():
+        key = None if wanted is None else signature(w)
+        groups.setdefault(key, []).append((w, c, _word_profile(w)))
     out: dict[Word, Coeff] = {}
-    b_items = [(w, c, _word_profile(w)) for w, c in B.terms.items()]
     for w1, c1 in A.terms.items():
-        prof1 = _word_profile(w1)
-        for w2, c2, prof2 in b_items:
-            if not _interacting(prof1, prof2):
+        prof1, (n1, parity1) = _word_profile(w1), signature(w1)
+        for key, items in groups.items():
+            reachable = None if key is None else [
+                w for w, need, parity in targets
+                if (parity1 + key[1]) % 2 == parity
+                and all(x + y >= k for x, y, k in zip(n1, key[0], need))
+            ]
+            if reachable == []:
                 continue
-            c12 = c1 * c2
-            forward = normal_order_word(w1 + w2)
-            backward = normal_order_word(w2 + w1)
-            for canon, (re, im) in forward.items():
-                if word_filter is not None and not word_filter(canon):
+            for w2, c2, prof2 in items:
+                if not _interacting(prof1, prof2):
                     continue
-                bre, bim = backward.get(canon, (Fraction(0), Fraction(0)))
-                dre, dim = re - bre, im - bim
-                if dre or dim:
-                    _accumulate(out, canon, c12 * Coeff({(0, 1): (dre, dim)}))
-            for canon, (re, im) in backward.items():
-                if canon not in forward:
-                    if word_filter is not None and not word_filter(canon):
-                        continue
-                    _accumulate(out, canon, c12 * Coeff({(0, 1): (-re, -im)}))
+                forward = normal_order_word(w1 + w2)
+                backward = normal_order_word(w2 + w1)
+                c12 = None
+                for w in reachable or [*forward, *(b for b in backward if b not in forward)]:
+                    fre, fim = forward.get(w, _ZERO)
+                    bre, bim = backward.get(w, _ZERO)
+                    dre, dim = fre - bre, fim - bim
+                    if dre or dim:
+                        if c12 is None:
+                            c12 = c1 * c2
+                        _accumulate(out, w, c12 * Coeff({(0, 1): (dre, dim)}))
     return OperatorExpr(out)

@@ -344,7 +344,10 @@ def _cmd_anomaly(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     poly = algebra.anomaly_coefficient(cfg.m, params)
     value = poly.evaluate(cfg.dims, cfg.intercept)
-    report = algebra.anomaly_report(params, modes=(1, 2) if cfg.m <= 2 else (cfg.m,))
+    modes = (1, 2) if cfg.m <= 2 else (cfg.m,)
+    report = algebra.format_anomaly_report(
+        [(m, poly if m == cfg.m else algebra.anomaly_coefficient(m, params)) for m in modes]
+    )
     body = report.splitlines()
     body.append(f"Delta_{cfg.m}({cfg.dims}, {cfg.intercept}) = {value}")
     path = _write(cfg, out, "anomaly.txt", body)

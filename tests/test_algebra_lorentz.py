@@ -12,7 +12,9 @@ from stochastic_string.algebra.fock import (
     states_equal,
     substitute_alpha_terms,
 )
+from stochastic_string import algebra
 from stochastic_string.algebra.lorentz import (
+    AlgebraConsistencyError,
     TruncationError,
     UnsupportedComponentError,
     alpha_terms_to_expr,
@@ -25,6 +27,7 @@ from stochastic_string.algebra.lorentz import (
     virasoro_alpha_terms,
 )
 from stochastic_string.algebra.operators import (
+    OperatorExpr,
     annihilation,
     commutator,
     creation,
@@ -228,3 +231,37 @@ def test_poly_da_helpers():
     assert solve_affine_system(
         [poly, PolyDA({(0, 1): Fraction(1), (0, 0): Fraction(-1)})]
     ) == ("point", Fraction(26), Fraction(1))
+
+
+@pytest.mark.parametrize("transverse, n_max", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("intercept", [None, Fraction(3, 4)])
+def test_pruned_m_minus_commutator_matches_full(transverse, n_max, intercept):
+    m1 = m_minus_expr(1, transverse, n_max, AP, PP, intercept)
+    m2 = m_minus_expr(2, transverse, n_max, AP, PP, intercept)
+    full = commutator(m1, m2)
+    wanted = {
+        (("c", m, i), ("a", m, j)) for m in range(1, n_max + 1) for i, j in ((1, 2), (2, 1))
+    }
+    # mode n_max + 1 is in neither generator, so no word pair reaches it
+    unreachable = (("c", n_max + 1, 1), ("a", n_max + 1, 2))
+    wanted |= {unreachable, (("x", 1), ("p", 2)), ()}
+    pruned = commutator(m1, m2, words=wanted)
+    assert pruned == OperatorExpr({w: c for w, c in full.terms.items() if w in wanted})
+    assert pruned.coefficient(unreachable).is_zero()
+    assert not pruned.coefficient((("c", 1, 1), ("a", 1, 2))).is_zero()
+
+
+def test_m_minus_cache_is_bounded():
+    first = m_minus_expr(1, 2, 1, AP, PP)
+    for k in range(1, 80):
+        m_minus_expr(1, 2, 1, AP, Fraction(k, 7))
+    info = m_minus_expr.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+    again = m_minus_expr(1, 2, 1, AP, PP)
+    assert again == first
+    assert again == alpha_terms_to_expr(m_minus_alpha_terms(1, 2, 1, AP, PP))
+
+
+def test_consistency_error_is_a_numerical_failure():
+    assert issubclass(AlgebraConsistencyError, RuntimeError)
+    assert algebra.AlgebraConsistencyError is AlgebraConsistencyError

@@ -206,3 +206,56 @@ def test_coefficient_lookup():
     word = (("c", 1, 1), ("a", 1, 2))
     assert expr.coefficient(word) == Coeff.rational(1)
     assert expr.coefficient((("c", 9, 9),)).is_zero()
+
+
+def restrict(expr, wanted):
+    return OperatorExpr({w: c for w, c in expr.terms.items() if w in wanted})
+
+
+# the length-preserving term of a word's normal ordering is its canonical permutation
+canonical_words = words.map(lambda w: max(normal_order_word(w), key=len, default=()))
+
+
+@given(exprs, exprs, st.data())
+@settings(max_examples=80, deadline=None)
+def test_pruned_commutator_matches_restricted_full(A, B, data):
+    full = commutator(A, B)
+    wanted = set(data.draw(st.lists(canonical_words, max_size=3)))
+    if full.terms:
+        wanted |= set(data.draw(st.lists(st.sampled_from(sorted(full.terms)), max_size=3)))
+    assert commutator(A, B, words=wanted) == restrict(full, wanted)
+
+
+def test_pruned_commutator_repeated_tokens():
+    c11, a11 = ("c", 1, 1), ("a", 1, 1)
+    a_sq = annihilation(1, 1) * annihilation(1, 1)
+    c_sq = creation(1, 1) * creation(1, 1)
+    full = commutator(a_sq, c_sq)  # [a^2, ad^2] = 4 ad a + 2
+    assert full == (creation(1, 1) * annihilation(1, 1)).scale(4) + identity(2)
+    for wanted in ({(c11, a11)}, {()}, {(c11, c11, a11, a11)}, {(c11, a11), (), (c11, c11)}):
+        assert commutator(a_sq, c_sq, words=wanted) == restrict(full, wanted)
+    x_sq = position(1) * position(1)
+    p_sq = momentum(1) * momentum(1)
+    full = commutator(x_sq, p_sq)
+    wanted = {(("x", 1), ("p", 1)), ()}
+    assert commutator(x_sq, p_sq, words=wanted) == restrict(full, wanted) == full
+
+
+def test_pruned_commutator_skips_unreachable_pairs(monkeypatch):
+    from stochastic_string.algebra import operators
+
+    A = creation(1, 1) * annihilation(1, 2) + creation(2, 1) * position(1)
+    B = creation(1, 2) * annihilation(1, 1) + momentum(1)
+    calls = []
+    original = operators.normal_order_word
+    monkeypatch.setattr(
+        operators, "normal_order_word", lambda word: calls.append(word) or original(word)
+    )
+    # mode 3 appears in neither operand; ad_{1,2} sits only in pairs of odd
+    # total length, which cannot reach a one-token word
+    for wanted in ({(("c", 3, 1), ("a", 3, 2))}, {(("c", 1, 2),)}):
+        assert commutator(A, B, words=wanted).is_zero()
+    assert calls == []
+    wanted = {(("c", 1, 1), ("a", 1, 1))}
+    assert commutator(A, B, words=wanted) == restrict(commutator(A, B), wanted)
+    assert calls

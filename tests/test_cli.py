@@ -23,6 +23,44 @@ def test_anomaly_noncritical_dimension(tmp_path, capsys):
     assert "Delta_2 = 1/8" in capsys.readouterr().out
 
 
+def test_anomaly_computes_each_mode_once(tmp_path, monkeypatch):
+    from stochastic_string import algebra
+    from stochastic_string.algebra import lorentz
+
+    calls = []
+    original = lorentz.anomaly_coefficient
+
+    def counted(m, params):
+        calls.append(m)
+        return original(m, params)
+
+    monkeypatch.setattr(algebra, "anomaly_coefficient", counted)
+    monkeypatch.setattr(lorentz, "anomaly_coefficient", counted)
+    for m, cutoff, modes in ((1, 4, [1, 2]), (2, 4, [1, 2]), (3, 6, [3])):
+        calls.clear()
+        assert run([
+            "anomaly", "--m", str(m), "--mode-cutoff", str(cutoff),
+            "--out", str(tmp_path / str(m)), "--no-timestamp",
+        ]) == EXIT_OK
+        assert sorted(calls) == modes
+
+
+def test_algebra_consistency_failure_exit_code(tmp_path, capsys, monkeypatch):
+    from stochastic_string.algebra import lorentz
+    from stochastic_string.algebra.operators import OperatorExpr
+    from stochastic_string.algebra.scalars import ONE
+
+    # equal, not opposite, coefficients on ad_{m,1} a_{m,2} and its partner
+    def not_antisymmetric(A, B, mode_cutoff=None, words=()):
+        return OperatorExpr({w: ONE for w in words})
+
+    monkeypatch.setattr(lorentz, "commutator", not_antisymmetric)
+    code = run(["anomaly", "--m", "1", "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not antisymmetric" in err
+
+
 def test_correlate_rejects_zero_mode(tmp_path, capsys):
     code = run(["correlate", "--n", "0", "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
