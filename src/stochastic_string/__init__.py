@@ -7,10 +7,10 @@ plus an exact light-cone operator algebra certifying the critical
 dimension D = 26.
 """
 
-from .core import ModeStateSpec, StringParams, ValidationError, diffusion, load_config, validate
-from .drift import SingularDriftError, StationaryModeState, UnsupportedStateError
+from .core import ModeStateSpec, StringParams, ValidationError, load_config, validate
+from .drift import StationaryModeState, UnsupportedStateError
 from .fpe import GridField, StabilityError
-from .sde import Ensemble, Trajectory
+from .sde import Ensemble
 
 __version__ = "0.1.0"
 
@@ -18,14 +18,11 @@ __all__ = [
     "Ensemble",
     "GridField",
     "ModeStateSpec",
-    "SingularDriftError",
     "StabilityError",
     "StationaryModeState",
     "StringParams",
-    "Trajectory",
     "UnsupportedStateError",
     "ValidationError",
-    "diffusion",
     "load_config",
     "validate",
     "__version__",

@@ -15,6 +15,7 @@ so canonicalization is idempotent by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import Coeff, ONE
 
@@ -24,9 +25,6 @@ Word = tuple
 _CLASS = {"c": 0, "x": 1, "p": 2, "a": 3}
 _ZERO = (Fraction(0), Fraction(0))
 _UNIT = (Fraction(1), Fraction(0))
-
-# word -> {word: (re, im)} cache for the pure reordering kernel
-_ORDER_CACHE: dict[Word, dict[Word, tuple[Fraction, Fraction]]] = {}
 
 
 class ModeCutoffError(ValueError):
@@ -78,14 +76,9 @@ def _swap_term(left: Token, right: Token) -> tuple[Fraction, Fraction] | None:
     return None
 
 
-_ORDER_CACHE_LIMIT = 400_000
-
-
+@lru_cache(maxsize=1 << 17)
 def normal_order_word(word: Word) -> dict[Word, tuple[Fraction, Fraction]]:
     """Rewrite a product of generators as canonical words with scalar weights."""
-    cached = _ORDER_CACHE.get(word)
-    if cached is not None:
-        return cached
     out: dict[Word, tuple[Fraction, Fraction]] = {}
     stack: list[tuple[Word, tuple[Fraction, Fraction]]] = [(word, (Fraction(1), Fraction(0)))]
     while stack:
@@ -105,10 +98,7 @@ def normal_order_word(word: Word) -> dict[Word, tuple[Fraction, Fraction]]:
         else:
             cre, cim = out.get(w, (Fraction(0), Fraction(0)))
             out[w] = (cre + re, cim + im)
-    out = {w: v for w, v in out.items() if v[0] or v[1]}
-    if len(_ORDER_CACHE) < _ORDER_CACHE_LIMIT:
-        _ORDER_CACHE[word] = out
-    return out
+    return {w: v for w, v in out.items() if v[0] or v[1]}
 
 
 def _word_profile(word: Word):

@@ -10,6 +10,7 @@ error or out of memory, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, fpe, observables, sde
-from .core import ModeStateSpec, StringParams, ValidationError, load_config, validate
+from .core import ModeStateSpec, StringParams, ValidationError, load_config, write_artifact
 from .drift import StationaryModeState
 
 EXIT_OK = 0
@@ -206,14 +207,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write(cfg: RunConfig, out_dir: str, name: str, body_lines: list[str]) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for line in cfg.header_lines():
-            fh.write(f"# {line}\n")
-        for line in body_lines:
-            fh.write(line + "\n")
-    return path
+    return write_artifact(Path(out_dir) / name, cfg.header_lines(), [s + "\n" for s in body_lines])
 
 
 def _mode_state_spec(cfg: RunConfig, params: StringParams) -> ModeStateSpec:
@@ -239,7 +233,6 @@ def _cmd_simulate(cfg: RunConfig, out: str) -> int:
         seed=cfg.seed, record_stride=cfg.record_stride,
     )
     path = Path(out) / "ensemble.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
     sde.export_ensemble(ensemble, path, header_lines=cfg.header_lines())
     print(
         f"wrote {path} ({ensemble.count} trajectories, clamp events: {ensemble.clamp_events}, "
@@ -284,11 +277,11 @@ def _cmd_fpe_check(cfg: RunConfig, out: str) -> int:
     field = fpe.gaussian_field(cfg.x_min, cfg.x_max, cfg.points, mean0, std0)
     horizon = cfg.steps * cfg.d_tau
     d_tau_grid = cfg.grid_d_tau if cfg.grid_d_tau > 0 else 0.4 * field.h**2 / nu
-    grid_steps = max(1, round(horizon / d_tau_grid))
+    # whole grid steps that end exactly at the SDE horizon, none longer than d_tau_grid
+    grid_steps = max(1, math.ceil(horizon / d_tau_grid))
     evolved = fpe.evolve_fokker_planck(
         field, lambda x: mode_state.forward_drift_array(x)[0], nu,
-        d_tau=cfg.grid_d_tau if cfg.grid_d_tau > 0 else horizon / grid_steps,
-        steps=grid_steps,
+        d_tau=horizon / grid_steps, steps=grid_steps,
     )
     state = ModeStateSpec()
     rng_init = lambda rng, size: rng.normal(mean0, std0, size)
@@ -344,7 +337,8 @@ def _cmd_anomaly(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     poly = algebra.anomaly_coefficient(cfg.m, params)
     value = poly.evaluate(cfg.dims, cfg.intercept)
-    modes = (1, 2) if cfg.m <= 2 else (cfg.m,)
+    # Delta_1 and Delta_2 fix (D, a) jointly; Delta_2 needs mode_cutoff >= 4
+    modes = (cfg.m,) if cfg.m > 2 else (1, 2) if cfg.mode_cutoff >= 4 else (1,)
     report = algebra.format_anomaly_report(
         [(m, poly if m == cfg.m else algebra.anomaly_coefficient(m, params)) for m in modes]
     )
@@ -407,9 +401,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
-        errors = validate(cfg.params())
-        if errors:
-            raise ValidationError("; ".join(errors))
+        cfg.params().validate()
         try:
             return _COMMANDS[args.command](cfg, getattr(args, "out", "."))
         except MemoryError:

@@ -1,4 +1,4 @@
-"""Physical parameters, conventions and shared validation.
+"""Physical parameters, conventions, shared validation and the artifact writer.
 
 Natural units (hbar = c = 1) throughout; the worldsheet parameters tau and
 sigma are dimensionless and mode amplitudes carry dimension sqrt(alpha').
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 
 class ValidationError(ValueError):
@@ -57,11 +58,6 @@ class StringParams:
         errors = validate(self)
         if errors:
             raise ValidationError("; ".join(errors))
-
-
-def diffusion(params: StringParams, n: int) -> float:
-    """Functional form of :meth:`StringParams.diffusion`."""
-    return params.diffusion(n)
 
 
 def validate(params: StringParams) -> list[str]:
@@ -161,7 +157,15 @@ def load_config(path: str | Path) -> tuple[StringParams, int | None]:
         mode_cutoff=int(values.get("mode_cutoff", 4)),
         p_plus=float(values.get("p_plus", 1.0)),
     )
-    errors = validate(params)
-    if errors:
-        raise ValidationError("; ".join(errors))
+    params.validate()
     return params, (int(seed) if seed is not None else None)
+
+
+def write_artifact(path: str | Path, header_lines: Iterable[str], chunks: Iterable[str]) -> Path:
+    """Write ``# `` header lines, then the text ``chunks`` (may be a generator) verbatim."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.writelines(chunks)
+    return path

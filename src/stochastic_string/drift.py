@@ -8,7 +8,8 @@ eigenstate: it has no normalizable stationary density and contributes a
 constant current velocity 2*alpha'*kappa.
 
 The drift decomposes into an osmotic part u = nu * rho'/rho and a current
-part v = 2*nu * S'; the forward drift entering the SDE is v + u.
+part v = 2*nu * S'; the forward drift entering the SDE is v + u, evaluated
+by ``StationaryModeState.forward_drift_array``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ from .core import StringParams, ValidationError
 
 class UnsupportedStateError(ValidationError):
     """Requested quantity is not defined for this state (e.g. zero-mode density)."""
-
-
-class SingularDriftError(ZeroDivisionError):
-    """Drift evaluated exactly at a node of the density."""
-
-    def __init__(self, x: float, node: float):
-        self.x = x
-        self.node = node
-        super().__init__(f"drift is singular at x={x!r} (density node at {node!r})")
 
 
 def hermite_value_and_derivative(k: int, xi: np.ndarray | float):
@@ -123,31 +115,14 @@ class StationaryModeState:
             grad = beta * (2.0 * dh / h - 2.0 * xi)
         return grad if grad.ndim else float(grad)
 
-    def osmotic_velocity(self, x: float) -> float:
-        """u(x) = nu * rho'(x)/rho(x); singular at density nodes."""
-        if self.n == 0:
-            return 0.0
-        beta = self.scale
-        h, _ = hermite_value_and_derivative(self.k, beta * x)
-        if h == 0.0:
-            raise SingularDriftError(x, self._nearest_node(x))
-        return self.nu * self.log_density_gradient(x)
-
-    def current_velocity(self, x: float) -> float:
-        """v(x) = 2*nu * S'(x): zero for real oscillator states, 2*alpha'*kappa for the zero mode."""
-        if self.n == 0:
-            return 2.0 * self.params.alpha_prime * self.momentum
-        return 0.0
-
-    def forward_drift(self, x: float) -> float:
-        """Forward drift v_plus = v + u feeding the mode SDE."""
-        return self.current_velocity(x) + self.osmotic_velocity(x)
-
     def forward_drift_array(self, x: np.ndarray, cap: float = 1.0e6):
-        """Vectorized clamped forward drift.
+        """Forward drift v_plus = v + u feeding the mode SDE, clamped.
 
-        Returns ``(drift, n_clamped)``: values outside [-cap, cap] (including
-        the infinities produced exactly at nodes) are clamped and counted.
+        Real oscillator states carry no current, so for n >= 1 this is the
+        osmotic part nu * (log rho)'; the zero mode has only the current
+        part 2*alpha'*kappa. Returns ``(drift, n_clamped)``: values outside
+        [-cap, cap] (including the infinities produced exactly at nodes) are
+        clamped and counted.
         Nelson diffusions never cross a node, so the clamp only regularizes
         rare near-node evaluations in a discrete-time integrator (which can
         still step across a node; ``sde.simulate`` counts those crossings).
@@ -167,12 +142,6 @@ class StationaryModeState:
         n_clamped = int(np.count_nonzero(~(np.abs(drift) <= cap)))
         drift = np.nan_to_num(drift, nan=cap, posinf=cap, neginf=-cap)
         return np.clip(drift, -cap, cap), n_clamped
-
-    def _nearest_node(self, x: float) -> float:
-        nodes = self.nodes()
-        if nodes.size == 0:
-            return math.nan
-        return float(nodes[np.argmin(np.abs(nodes - x))])
 
     @cached_property
     def _inverse_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import StringParams, ValidationError
+from .core import StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 
@@ -272,14 +272,8 @@ def l1_distance_to_samples(field: GridField, samples: np.ndarray, bins: int = 61
 
 def export_field(field: GridField, path: str | Path, header_lines: Sequence[str] = ()) -> None:
     """Write the field as columnar text: x, rho, S."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x rho S\n")
-        fh.write("".join([
-            f"{x!r} {r!r} {s!r}\n"
-            for x, r, s in zip(field.x.tolist(), field.rho.tolist(), field.S.tolist())
-        ]))
+    rows = zip(field.x.tolist(), field.rho.tolist(), field.S.tolist())
+    write_artifact(path, header_lines, ["x rho S\n"] + [f"{x!r} {r!r} {s!r}\n" for x, r, s in rows])
 
 
 def import_field(path: str | Path) -> GridField:

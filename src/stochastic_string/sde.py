@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ModeStateSpec, StringParams, ValidationError
+from .core import ModeStateSpec, StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 InitSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -41,21 +41,6 @@ class NonFiniteSampleError(RuntimeError):
 
 class InsufficientSamplesError(RuntimeError):
     """A probe bin holds too few samples for a conditional estimate."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One sample path of a single (mode, direction) amplitude."""
-
-    mode: int
-    direction: int
-    tau_0: float
-    d_tau: float
-    samples: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.samples) - 1
 
 
 @dataclass
@@ -94,15 +79,6 @@ class Ensemble:
     def recorded_taus(self) -> np.ndarray:
         return self.tau_0 + self.d_tau * self.record_stride * np.arange(
             self.samples.shape[1]
-        )
-
-    def trajectory(self, index: int) -> Trajectory:
-        return Trajectory(
-            mode=self.mode,
-            direction=self.direction,
-            tau_0=self.tau_0,
-            d_tau=self.d_tau * self.record_stride,
-            samples=self.samples[index],
         )
 
     def sample_at(self, t: int) -> np.ndarray:
@@ -449,14 +425,10 @@ def export_ensemble(ensemble: Ensemble, path: str | Path, header_lines: Sequence
     columns = [
         f" {t * stride} {tau!r} " for t, tau in enumerate(ensemble.recorded_taus().tolist())
     ]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("trajectory_id step tau q\n")
-        # one trajectory at a time: converting the whole ensemble to Python
-        # floats at once would hold every sample as an object
-        for j in range(ensemble.count):
-            fh.write("".join(
-                [f"{j}{col}{q!r}\n" for col, q in zip(columns, ensemble.samples[j].tolist())]
-            ))
-
+    # one trajectory at a time: converting the whole ensemble to Python
+    # floats at once would hold every sample as an object
+    rows = (
+        "".join([f"{j}{col}{q!r}\n" for col, q in zip(columns, ensemble.samples[j].tolist())])
+        for j in range(ensemble.count)
+    )
+    write_artifact(path, header_lines, itertools.chain(["trajectory_id step tau q\n"], rows))

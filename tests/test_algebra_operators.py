@@ -201,6 +201,16 @@ def test_normal_order_word_cache_consistency():
     assert first[()] == (Fraction(0), Fraction(-1))
 
 
+def test_normal_order_word_cache_is_bounded():
+    assert normal_order_word.cache_info().maxsize == 1 << 17
+    word = (("a", 2, 1), ("c", 2, 1), ("p", 2), ("c", 1, 1), ("x", 2))
+    hits = normal_order_word.cache_info().hits
+    assert normal_order_word(word) == normal_order_word(word)
+    assert normal_order_word.cache_info().hits > hits
+    # the cached expansion equals a fresh, uncached one
+    assert normal_order_word(word) == normal_order_word.__wrapped__(word)
+
+
 def test_coefficient_lookup():
     expr = creation(1, 1) * annihilation(1, 2)
     word = (("c", 1, 1), ("a", 1, 2))

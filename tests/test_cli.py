@@ -23,6 +23,21 @@ def test_anomaly_noncritical_dimension(tmp_path, capsys):
     assert "Delta_2 = 1/8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_anomaly_first_mode_below_second_mode_cutoff(tmp_path, capsys, cutoff):
+    # Delta_1 needs mode_cutoff >= 2; Delta_2 (>= 4) is left out of the report
+    code = run([
+        "anomaly", "--m", "1", "--mode-cutoff", str(cutoff),
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert code == EXIT_OK
+    assert "Delta_1 = 0" in capsys.readouterr().out
+    report = (tmp_path / "anomaly.txt").read_text()
+    assert "Delta_1(D, a) = 2 + -2*a" in report
+    assert "Delta_2" not in report
+    assert "joint solution: underdetermined" in report
+
+
 def test_anomaly_computes_each_mode_once(tmp_path, monkeypatch):
     from stochastic_string import algebra
     from stochastic_string.algebra import lorentz
@@ -106,6 +121,35 @@ def test_stability_violation_exit_code(tmp_path, capsys):
     ])
     assert code == EXIT_NUMERICAL
     assert "bound" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("flags", [
+    # default grid step 0.4 h^2/nu = 3.6e-4: rounding 1.4 steps down to one
+    # step of 5.04e-4 would exceed the stability bound
+    ["--d-tau", "0.000504"],
+    # rounding 1.33 steps down to one step of 3e-4 would stop short of the
+    # SDE horizon 4e-4
+    ["--d-tau", "0.0004", "--grid-d-tau", "0.0003"],
+])
+def test_fpe_check_grid_ends_at_horizon(tmp_path, monkeypatch, flags):
+    from stochastic_string import fpe
+
+    grid = []
+    original = fpe.evolve_fokker_planck
+
+    def recorded(field, drift, nu, d_tau, steps):
+        grid.append((d_tau, steps))
+        return original(field, drift, nu, d_tau=d_tau, steps=steps)
+
+    monkeypatch.setattr(fpe, "evolve_fokker_planck", recorded)
+    code = run([
+        "fpe-check", "--n", "1", "-M", "200", "--steps", "1", *flags,
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert code == EXIT_OK
+    ((d_tau, steps),) = grid
+    assert steps == 2
+    assert d_tau * steps == pytest.approx(float(flags[1]), rel=1e-12)
 
 
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,6 @@ from stochastic_string.core import (
     ModeStateSpec,
     StringParams,
     ValidationError,
-    diffusion,
     load_config,
     parse_config,
     validate,
@@ -13,16 +12,16 @@ from stochastic_string.core import (
 
 def test_diffusion_constants_exact():
     p = StringParams(alpha_prime=0.5)
-    assert diffusion(p, 3) == 1.0
-    assert diffusion(p, 0) == 0.5
-    assert diffusion(StringParams(alpha_prime=1.0), 1) == 2
+    assert p.diffusion(3) == 1.0
+    assert p.diffusion(0) == 0.5
+    assert StringParams(alpha_prime=1.0).diffusion(1) == 2
 
 
 def test_diffusion_mode_independent_for_nonzero_modes():
     p = StringParams(alpha_prime=0.37)
-    values = {diffusion(p, n) for n in range(1, 30)}
+    values = {p.diffusion(n) for n in range(1, 30)}
     assert values == {2 * 0.37}
-    assert diffusion(p, 0) == diffusion(p, 1) / 2
+    assert p.diffusion(0) == p.diffusion(1) / 2
 
 
 def test_diffusion_negative_mode_rejected():

@@ -5,11 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from stochastic_string.core import StringParams
-from stochastic_string.drift import (
-    SingularDriftError,
-    StationaryModeState,
-    UnsupportedStateError,
-)
+from stochastic_string.drift import StationaryModeState, UnsupportedStateError
 
 
 def quad_moment(state, power):
@@ -44,48 +40,49 @@ def test_zero_mode_has_no_density(params):
         state.density(1.0)
 
 
-def test_osmotic_velocity_ground_state(params):
+def drift_at(state, x):
+    drift, _ = state.forward_drift_array(np.array([x]))
+    return drift[0]
+
+
+def test_drift_ground_state(params):
     # u = -n x; oracle: finite difference of log rho
     state = StationaryModeState(params, 1, 0)
     for x in (-1.3, 0.2, 2.4):
-        assert state.osmotic_velocity(x) == pytest.approx(-x, abs=1e-12)
+        assert drift_at(state, x) == pytest.approx(-x, abs=1e-12)
         h = 1e-6
         fd = (
             math.log(state.density(x + h)) - math.log(state.density(x - h))
         ) / (2 * h)
-        assert state.osmotic_velocity(x) == pytest.approx(state.nu * fd, abs=1e-5)
+        assert drift_at(state, x) == pytest.approx(state.nu * fd, abs=1e-5)
 
 
-def test_osmotic_velocity_symmetric_zero(params):
-    assert StationaryModeState(params, 3, 0).osmotic_velocity(0.0) == 0.0
+def test_drift_symmetric_zero(params):
+    assert drift_at(StationaryModeState(params, 3, 0), 0.0) == 0.0
 
 
-def test_osmotic_velocity_antisymmetry(params):
+def test_drift_antisymmetry(params):
     state = StationaryModeState(params, 2, 2)
     for x in (0.3, 0.9, 1.7):
-        assert state.osmotic_velocity(-x) == pytest.approx(-state.osmotic_velocity(x))
+        assert drift_at(state, -x) == pytest.approx(-drift_at(state, x))
 
 
-def test_osmotic_velocity_near_node_diverges(params):
+def test_drift_near_node_diverges(params):
     # rho ~ x^2 near the node: u ~ nu * 2/x; oracle: log-density finite difference
     state = StationaryModeState(params, 1, 1)
     for x in (1e-3, -1e-3):
         expected = state.nu * 2.0 / x
-        assert state.osmotic_velocity(x) == pytest.approx(expected, rel=5e-3)
+        assert drift_at(state, x) == pytest.approx(expected, rel=5e-3)
 
 
-def test_osmotic_velocity_raises_exactly_at_node(params):
-    state = StationaryModeState(params, 1, 1)
-    with pytest.raises(SingularDriftError) as err:
-        state.osmotic_velocity(0.0)
-    assert err.value.node == pytest.approx(0.0)
-
-
-def test_current_velocity(params):
-    assert StationaryModeState(params, 2, 0).current_velocity(0.7) == 0.0
+def test_drift_current_part(params):
+    # current part v = 2 alpha' kappa for the zero mode; real oscillator
+    # states carry none, so their drift is the osmotic part alone
+    state = StationaryModeState(params, 2, 0)
+    assert drift_at(state, 0.7) == state.nu * state.log_density_gradient(0.7)
     zero = StationaryModeState(params, 0, momentum=3.0)
-    assert zero.current_velocity(10.0) == pytest.approx(3.0)
-    assert StationaryModeState(params, 0, momentum=0.0).current_velocity(1.0) == 0.0
+    assert drift_at(zero, 10.0) == pytest.approx(3.0)
+    assert drift_at(StationaryModeState(params, 0, momentum=0.0), 1.0) == 0.0
 
 
 def test_forward_drift_linear_for_ground_states(params):
@@ -93,16 +90,16 @@ def test_forward_drift_linear_for_ground_states(params):
     grid = np.linspace(-3, 3, 41)
     for n in range(1, 7):
         state = StationaryModeState(params, n, 0)
-        drift = np.array([state.forward_drift(x) for x in grid])
+        drift, _ = state.forward_drift_array(grid)
         np.testing.assert_allclose(drift, -n * grid, atol=1e-12)
     state4 = StationaryModeState(StringParams(alpha_prime=1.0), 4, 0)
-    assert state4.forward_drift(0.5) == pytest.approx(-2.0)
+    assert drift_at(state4, 0.5) == pytest.approx(-2.0)
 
 
 def test_forward_drift_zero_mode(params):
     state = StationaryModeState(params, 0, momentum=3.0)
     for x in (-5.0, 0.0, 2.0):
-        assert state.forward_drift(x) == pytest.approx(3.0)
+        assert drift_at(state, x) == pytest.approx(3.0)
 
 
 def test_forward_drift_array_clamps_and_counts(params):

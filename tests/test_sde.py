@@ -258,12 +258,11 @@ def test_trajectory_view(params, ground_spec):
         params, ground_spec, 2, 3, d_tau=1e-3, steps=40, count=5, seed=6,
         record_stride=4,
     )
-    traj = ens.trajectory(2)
-    assert traj.mode == 2 and traj.direction == 3
-    assert traj.steps == 10
-    assert traj.d_tau == pytest.approx(4e-3)
-    np.testing.assert_array_equal(traj.samples, ens.samples[2])
+    assert ens.mode == 2 and ens.direction == 3
+    assert ens.recorded_steps == 10
     taus = ens.recorded_taus()
+    assert len(taus) == ens.samples.shape[1] == 11
+    np.testing.assert_allclose(np.diff(taus), 4e-3)
     assert taus[0] == 0.0
     assert taus[-1] == pytest.approx(0.04)
 
