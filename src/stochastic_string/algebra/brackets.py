@@ -90,11 +90,7 @@ def _zero_mode_expectation(zero_word, field: GridField) -> complex:
         if tok[0] == "x":
             value = field.x * value
         else:
-            grad = np.empty_like(value)
-            grad[1:-1] = (value[2:] - value[:-2]) / (2 * h)
-            grad[0] = grad[1]
-            grad[-1] = grad[-2]
-            value = -1j * grad
+            value = -1j * _gradient(value, h)
     return complex(np.trapezoid(np.conj(psi) * value, dx=h))
 
 

@@ -409,6 +409,10 @@ def run(argv: list[str] | None = None) -> int:
                 f"out of memory for count = {cfg.count} trajectories and "
                 f"steps = {cfg.steps}; lower -M/--count or --steps"
             ) from None
+        except sde.InsufficientSamplesError as exc:
+            raise ValidationError(
+                f"{exc} with count = {cfg.count} trajectories; raise -M/--count"
+            ) from None
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -157,7 +157,7 @@ def continuity_residual(field: GridField, params: StringParams, n: int) -> float
     h = field.h
     v = 2.0 * nu * _gradient(field.S, h)
     flux = field.rho * v
-    divergence = (flux[2:] - flux[:-2]) / (2 * h)
+    divergence = _gradient(flux, h)[1:-1]
     return float(np.max(np.abs(divergence)))
 
 
@@ -198,11 +198,11 @@ def madelung_residual(
     # equation when either stencil does.
     with np.errstate(divide="ignore", invalid="ignore"):
         R = 0.5 * np.log(field.rho)
-        dR = (R[2:] - R[:-2]) / (2 * h)
+        dR = _gradient(R, h)[1:-1]
         log_form = dR**2 + (R[2:] - 2 * R[1:-1] + R[:-2]) / h**2
         amp = np.sqrt(field.rho)
         amp_form = (amp[2:] - 2 * amp[1:-1] + amp[:-2]) / h**2 / amp[1:-1]
-    dS = (field.S[2:] - field.S[:-2]) / (2 * h)
+    dS = _gradient(field.S, h)[1:-1]
     xin = x[1:-1]
     rest = -energy + 2.0 * ap * dS**2 + state.n**2 * xin**2 / (8.0 * ap)
     residual = np.minimum(

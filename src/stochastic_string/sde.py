@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .drift import StationaryModeState
 InitSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 _CHUNK = 4096
+# float64 noise values drawn ahead per trajectory chunk (32 MiB), so the
+# buffer stays bounded however large ``steps`` is
+_NOISE_VALUES = 2**22
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -170,8 +173,9 @@ def simulate(
     node_crossings = 0
     rng = np.random.Generator(np.random.Philox())
 
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
+    chunk = min(_CHUNK, max(1, _NOISE_VALUES // steps))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
         block = stop - start
         noise = np.empty((block, steps))
         q0 = np.empty(block)
@@ -265,98 +269,95 @@ def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:
     return float(dq.mean()), float(dq.var(ddof=1))
 
 
-def default_probe_grid(ensemble: Ensemble, half_width_sigmas: float = 1.5, points: int = 7):
-    sigma = ensemble.state.sigma if ensemble.mode >= 1 else 1.0
-    w = half_width_sigmas * sigma
-    return np.linspace(-w, w, points)
+def _pool(ensemble: Ensemble | Iterable[Ensemble]) -> tuple[Ensemble, Iterator[Ensemble]]:
+    """The first ensemble of a pool and an iterator over the whole pool."""
+    it = iter([ensemble] if isinstance(ensemble, Ensemble) else ensemble)
+    lead = next(it, None)
+    if lead is None:
+        raise InsufficientSamplesError("empty ensemble")
+    return lead, itertools.chain([lead], it)
 
 
-def _as_ensemble_iterable(ensemble):
-    if isinstance(ensemble, Ensemble):
-        return [ensemble]
-    return ensemble
-
-
-def _conditional_differences(
-    ensembles,
-    queries: Sequence[tuple[Callable[[np.ndarray], np.ndarray], bool]],
+def _conditional_rates(
+    ensembles: Iterable[Ensemble],
+    F: Callable[[np.ndarray], np.ndarray],
     probe: np.ndarray,
     bin_half_width: float,
     min_occupancy: int,
-):
-    """Binned transport-rate estimates for several (F, forward) queries.
+    backward: bool = False,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Binned transport rates of ``F``: forward, then backward if asked.
 
     Forward: E[(F(q_{t+1}) - F(q_t)) / d_tau | q_t in bin].
     Backward: E[(F(q_t) - F(q_{t-1})) / d_tau | q_t in bin].
-    Returns per query (rates, bin means, counts); comparing analytics at
-    the empirical bin means removes the first-order binning skew under a
-    sloped density. Single pass over an iterable of ensembles, slice by
-    slice, so full trajectories never need flattening and ensembles may
-    come from a generator.
+    Returns per direction (rates, bin means, counts); comparing analytics
+    at the empirical bin means removes the first-order binning skew under
+    a sloped density. One pass over an iterable of ensembles, column by
+    column, so full trajectories never need flattening and ensembles may
+    come from a generator. Each column is binned once: its bin index
+    conditions the forward rate of the step leaving it and the backward
+    rate of the step entering it. Samples outside every bin, or with a
+    non-finite rate, go to the overflow bin ``len(probe)``, dropped at
+    the end.
     """
-    n_probe = len(probe)
+    n = len(probe)
     edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
-    sums = [np.zeros(n_probe) for _ in queries]
-    pos_sums = [np.zeros(n_probe) for _ in queries]
-    counts = [np.zeros(n_probe, dtype=np.int64) for _ in queries]
-    seen = False
+    # bin indices -1 and n both read an infinite centre: never within reach
+    centres = np.append(probe, np.inf)
+    directions = 2 if backward else 1
+    rate_sums = np.zeros((directions, n))
+    pos_sums = np.zeros((directions, n))
+    counts = np.zeros((directions, n), dtype=np.int64)
     for ens in ensembles:
-        seen = True
         if ens.record_stride != 1:
             raise ValidationError("transport derivatives need record_stride == 1")
-        d_tau = ens.d_tau
-        for t in range(ens.recorded_steps):
-            prev_col = ens.samples[:, t]
-            next_col = ens.samples[:, t + 1]
-            for qi, (values, forward) in enumerate(queries):
-                cond = prev_col if forward else next_col
-                rate = (values(next_col) - values(prev_col)) / d_tau
-                idx = np.searchsorted(edges, cond, side="right") - 1
-                ok = (idx >= 0) & (idx < n_probe) & np.isfinite(rate)
-                near = np.abs(cond[ok] - probe[idx[ok]]) <= bin_half_width
-                idx_ok = idx[ok][near]
-                sums[qi] += np.bincount(idx_ok, weights=rate[ok][near], minlength=n_probe)
-                pos_sums[qi] += np.bincount(idx_ok, weights=cond[ok][near], minlength=n_probe)
-                counts[qi] += np.bincount(idx_ok, minlength=n_probe)
-    if not seen:
-        raise InsufficientSamplesError("empty ensemble")
-    results = []
-    for qi in range(len(queries)):
-        if np.any(counts[qi] < min_occupancy):
-            lowest = int(counts[qi].min())
-            raise InsufficientSamplesError(
-                f"probe bin occupancy {lowest} below required {min_occupancy}"
-            )
-        results.append((sums[qi] / counts[qi], pos_sums[qi] / counts[qi], counts[qi]))
-    return results
+        for t in range(ens.samples.shape[1]):
+            col = ens.samples[:, t]
+            idx = np.searchsorted(edges, col, side="right") - 1
+            bins = np.where(np.abs(col - centres[idx]) <= bin_half_width, idx, n)
+            values = F(col)
+            if t:
+                rate = (values - last_values) / ens.d_tau
+                conditions = ((last_col, last_bins), (col, bins))[:directions]
+                finite = np.isfinite(rate)
+                if not finite.all():
+                    conditions = [(cond, np.where(finite, b, n)) for cond, b in conditions]
+                for d, (cond, cond_bins) in enumerate(conditions):
+                    rate_sums[d] += np.bincount(cond_bins, weights=rate, minlength=n + 1)[:n]
+                    pos_sums[d] += np.bincount(cond_bins, weights=cond, minlength=n + 1)[:n]
+                    counts[d] += np.bincount(cond_bins, minlength=n + 1)[:n]
+            last_col, last_bins, last_values = col, bins, values
+    if np.any(counts < min_occupancy):
+        raise InsufficientSamplesError(
+            f"probe bin occupancy {int(counts.min())} below required {min_occupancy}"
+        )
+    return [(r / c, x / c, c) for r, x, c in zip(rate_sums, pos_sums, counts)]
 
 
 def transport_derivative_check(
-    ensemble: Ensemble | Sequence[Ensemble],
+    ensemble: Ensemble | Iterable[Ensemble],
     F: Callable[[np.ndarray], np.ndarray],
     dF: Callable[[np.ndarray], np.ndarray] | None = None,
     d2F: Callable[[np.ndarray], np.ndarray] | None = None,
     probe: np.ndarray | None = None,
     bin_half_width: float | None = None,
-    min_occupancy: int = 30,
 ) -> float:
     """Max deviation of the empirical forward transport derivative.
 
     Compares the conditional forward difference estimate of D_plus F with
     v_plus F' + nu F'' on a probe grid and returns the largest absolute
-    deviation. F' and F'' default to central differences of ``F``.
-    Accepts one full-resolution ensemble or an iterable to pool; the
-    first ensemble fixes the reference state.
+    deviation. F' and F'' default to central differences of ``F``; the
+    probe defaults to 7 points on +-1.5 sigma, and bins to half the probe
+    spacing. Accepts one full-resolution ensemble or an iterable to pool;
+    the first ensemble fixes the reference state.
     """
-    ensembles = list(_as_ensemble_iterable(ensemble))
-    lead = ensembles[0]
+    lead, ensembles = _pool(ensemble)
     if probe is None:
-        probe = default_probe_grid(lead)
+        w = 1.5 * (lead.state.sigma if lead.mode >= 1 else 1.0)
+        probe = np.linspace(-w, w, 7)
     if bin_half_width is None:
         bin_half_width = 0.5 * (probe[1] - probe[0]) if len(probe) > 1 else 0.1
-    ((est, at, _),) = _conditional_differences(
-        ensembles, [(F, True)], probe, bin_half_width, min_occupancy
-    )
+    ((est, at, _),) = _conditional_rates(ensembles, F, probe, bin_half_width, 30)
     h = 1.0e-5
     dF_vals = dF(at) if dF else (F(at + h) - F(at - h)) / (2 * h)
     d2F_vals = d2F(at) if d2F else (F(at + h) - 2 * F(at) + F(at - h)) / h**2
@@ -365,51 +366,34 @@ def transport_derivative_check(
     return float(np.max(np.abs(est - analytic)))
 
 
-def _fit_rate_polynomials(stats, degree: int) -> list[np.polynomial.Polynomial]:
-    return [
-        np.polynomial.Polynomial.fit(at, rates, degree, w=np.sqrt(counts))
-        for rates, at, counts in stats
-    ]
-
-
 def second_law_check(
-    ensemble: Ensemble | Sequence[Ensemble],
-    probe: np.ndarray | None = None,
-    bin_half_width: float | None = None,
-    min_occupancy: int = 200,
-    fit_degree: int = 3,
+    ensemble: Ensemble | Iterable[Ensemble],
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Empirical mean stochastic acceleration (D+D- + D-D+)q / 2.
 
     The forward and backward velocities v_+(x), v_-(x) are estimated from
-    conditional increment rates and smoothed by low-order polynomial fits;
-    the outer transport derivatives then follow from their defining form
+    conditional increment rates and smoothed by cubic fits; the outer
+    transport derivatives then follow from their defining form
     D_(+/-) G = v_(+/-) G' +/- nu G'' with the engine's known diffusion
     constant. Returns (max relative deviation from -n^2 x, probe grid,
     acceleration estimates). Accepts one ensemble or an iterable to pool
     (a generator keeps only one in memory at a time).
     """
-    it = iter(_as_ensemble_iterable(ensemble))
-    lead = next(it)
+    lead, ensembles = _pool(ensemble)
     if lead.mode < 1:
         raise ValidationError("stochastic acceleration check targets n >= 1 modes")
-    if probe is None:
-        sigma = lead.state.sigma
-        probe = np.concatenate((np.linspace(-2, -0.4, 5), np.linspace(0.4, 2, 5))) * sigma
-    if bin_half_width is None:
-        bin_half_width = 0.15 * lead.state.sigma
+    sigma = lead.state.sigma
+    probe = np.concatenate((np.linspace(-2, -0.4, 5), np.linspace(0.4, 2, 5))) * sigma
 
     # fit window extends past the probe so every probe point sits in the
     # well-constrained interior of the polynomial fits
     fit_grid = np.linspace(1.2 * probe.min(), 1.2 * probe.max(), 21)
-    stats = _conditional_differences(
-        itertools.chain([lead], it),
-        [(lambda x: x, False), (lambda x: x, True)],
-        fit_grid,
-        bin_half_width,
-        min_occupancy,
+    v_plus, v_minus = (
+        np.polynomial.Polynomial.fit(at, rates, 3, w=np.sqrt(counts))
+        for rates, at, counts in _conditional_rates(
+            ensembles, lambda x: x, fit_grid, 0.15 * sigma, 200, backward=True
+        )
     )
-    v_minus, v_plus = _fit_rate_polynomials(stats, fit_degree)
     nu = lead.state.nu
     d_plus_of_vminus = v_plus(probe) * v_minus.deriv()(probe) + nu * v_minus.deriv(2)(probe)
     d_minus_of_vplus = v_minus(probe) * v_plus.deriv()(probe) - nu * v_plus.deriv(2)(probe)

@@ -102,6 +102,17 @@ def test_mixed_words_need_field():
         expectation(expr, state=ModeStateSpec(occupations={(1, 1): 1}))
 
 
+def test_zero_mode_moments_on_grid(params):
+    # n = 1 ground state: <x^2> = sigma^2 = 1, <p^2> = 1 / (4 sigma^2); a phase
+    # S = 0.7 x boosts <p> to 0.7
+    field = stationary_field(StationaryModeState(params, 1, 0), -8, 8, 2001)
+    x, p = position(1), momentum(1)
+    assert expectation(x * x, field=field).real == pytest.approx(1.0, abs=1e-4)
+    assert expectation(p * p, field=field).real == pytest.approx(0.25, abs=1e-4)
+    moving = GridField(-8, 8, field.rho, 0.7 * field.x)
+    assert expectation(p, field=moving).real == pytest.approx(0.7, abs=1e-4)
+
+
 def test_multi_direction_zero_mode_rejected(ground_field):
     expr = position(1) * position(2)
     with pytest.raises(UnsupportedExpectationError):

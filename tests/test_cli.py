@@ -168,6 +168,16 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     assert "count = 50" in err and "steps = 70" in err
 
 
+def test_too_small_ensemble_exit_code(tmp_path, capsys):
+    code = run([
+        "transport-check", "--n", "1", "-M", "50", "--steps", "5",
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "occupancy" in err and "count = 50" in err and "-M" in err
+
+
 def test_spectrum_output(tmp_path):
     code = run([
         "spectrum", "--max-level", "2", "--zeta-intercept",

@@ -164,6 +164,101 @@ def test_transport_derivative_occupancy_guard(params, ground_spec):
         transport_derivative_check(ens, lambda x: x, probe=np.array([25.0]))
 
 
+def _per_query_reference(ensembles, queries, probe, bin_half_width):
+    """Binned rates with one searchsorted and masked bincounts per step and
+    per (F, forward) query: the arithmetic ``_conditional_rates`` must
+    reproduce bit for bit."""
+    n_probe = len(probe)
+    edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
+    sums = [np.zeros(n_probe) for _ in queries]
+    pos_sums = [np.zeros(n_probe) for _ in queries]
+    counts = [np.zeros(n_probe, dtype=np.int64) for _ in queries]
+    for ens in ensembles:
+        for t in range(ens.recorded_steps):
+            prev_col = ens.samples[:, t]
+            next_col = ens.samples[:, t + 1]
+            for qi, (values, forward) in enumerate(queries):
+                cond = prev_col if forward else next_col
+                rate = (values(next_col) - values(prev_col)) / ens.d_tau
+                idx = np.searchsorted(edges, cond, side="right") - 1
+                ok = (idx >= 0) & (idx < n_probe) & np.isfinite(rate)
+                near = np.abs(cond[ok] - probe[idx[ok]]) <= bin_half_width
+                idx_ok = idx[ok][near]
+                sums[qi] += np.bincount(idx_ok, weights=rate[ok][near], minlength=n_probe)
+                pos_sums[qi] += np.bincount(idx_ok, weights=cond[ok][near], minlength=n_probe)
+                counts[qi] += np.bincount(idx_ok, minlength=n_probe)
+    return [(s / c, p / c, c) for s, p, c in zip(sums, pos_sums, counts)]
+
+
+def _pair(params, spec):
+    """Two small ground-state ensembles with different steps and d_tau."""
+    yield simulate(params, spec, 1, 1, d_tau=1e-3, steps=40, count=3000, seed=21)
+    yield simulate(params, spec, 1, 1, d_tau=2e-3, steps=30, count=2000, seed=22)
+
+
+def _inf_above(x):
+    # inside the outer bin, so that bin sees finite and non-finite rates
+    return np.where(x > 1.6, np.inf, x)
+
+
+@pytest.mark.parametrize(
+    "F, probe, w, backward",
+    [
+        (lambda x: x, np.linspace(-1.5, 1.5, 7), 0.25, False),
+        (lambda x: x**2, np.linspace(-2, 2, 9), 0.3, False),
+        # the second-law fit grid: w = 0.15 sigma exceeds half the 0.24 sigma spacing
+        (lambda x: x, np.linspace(-2.4, 2.4, 21), 0.15, True),
+        (_inf_above, np.linspace(-1.5, 1.5, 7), 0.25, True),
+        (lambda x: x, np.array([0.3]), 0.1, True),
+        # narrow bins leave gaps between them whose samples count nowhere
+        (lambda x: x, np.linspace(-2, 2, 9), 0.1, True),
+    ],
+    ids=["x-default-probe", "x2", "fit-grid-overlapping", "inf-part", "one-point", "gaps"],
+)
+def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, probe, w, backward):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return F(x)
+
+    with np.errstate(invalid="ignore"):
+        got = sde._conditional_rates(_pair(params, ground_spec), counted, probe, w, 1, backward)
+        queries = [(F, True), (F, False)] if backward else [(F, True)]
+        expected = _per_query_reference(_pair(params, ground_spec), queries, probe, w)
+    # one F call per recorded column of the pool
+    assert calls == [3000] * 41 + [2000] * 31
+    assert len(got) == len(expected)
+    for got_stats, expected_stats in zip(got, expected):
+        for a, b in zip(got_stats, expected_stats):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("check", ["transport", "second_law"])
+@pytest.mark.parametrize("empty", [list, lambda: iter([])], ids=["list", "generator"])
+def test_empty_pool_is_insufficient(check, empty):
+    with pytest.raises(InsufficientSamplesError, match="empty ensemble"):
+        if check == "transport":
+            transport_derivative_check(empty(), lambda x: x)
+        else:
+            sde.second_law_check(empty())
+
+
+@pytest.mark.parametrize(
+    "spec", [ModeStateSpec(), ModeStateSpec(occupations={(1, 1): 1})], ids=["k0", "k1"]
+)
+def test_simulate_independent_of_noise_buffer_size(params, monkeypatch, spec):
+    # a low cap and a coarse step make both counters fire (k=1: 94 clamps, 2 crossings)
+    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3, drift_cap=0.5)
+    whole = simulate(params, spec, 1, 1, **kwargs)
+    assert whole.clamp_events > 0
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)  # chunks of 3, 3, 3, 1 trajectories
+    rows = simulate(params, spec, 1, 1, **kwargs)
+    assert np.array_equal(rows.samples, whole.samples)
+    assert rows.clamp_events == whole.clamp_events
+    assert rows.node_crossings == whole.node_crossings
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("index", [0, 1, 4095, 4096, 12_345])
 def test_rekeyed_stream_equals_fresh_philox(seed, index):
