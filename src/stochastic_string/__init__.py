@@ -9,7 +9,7 @@ dimension D = 26.
 
 from .core import ModeStateSpec, StringParams, ValidationError, load_config, validate
 from .drift import StationaryModeState, UnsupportedStateError
-from .fpe import GridField, StabilityError
+from .fpe import GridField
 from .sde import Ensemble
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "Ensemble",
     "GridField",
     "ModeStateSpec",
-    "StabilityError",
     "StationaryModeState",
     "StringParams",
     "UnsupportedStateError",

@@ -4,8 +4,10 @@ The same stationary data that drives the SDE must solve, on a grid, the
 Fokker-Planck equation, the continuity equation, and the single-mode
 Madelung (Hamilton-Jacobi) equation, and the polar-form wave function
 rebuilt from (rho, S) must satisfy the discretized eigenvalue relation.
-All stencils are second-order central differences with explicit time
-stepping and reflecting (no-flux) boundaries.
+The Fokker-Planck equation is stepped explicitly with exponentially
+fitted Scharfetter-Gummel fluxes (Scharfetter & Gummel, IEEE TED 16,
+1969; Chang & Cooper, J. Comput. Phys. 6, 1970) and reflecting (no-flux)
+boundaries; the residuals use second-order central differences.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ import numpy as np
 
 from .core import StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
-
-
-class StabilityError(RuntimeError):
-    """Explicit step would violate the diffusive stability bound."""
 
 
 @dataclass
@@ -92,59 +90,63 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _bernoulli(z: np.ndarray) -> np.ndarray:
+    """B(z) = z / (e^z - 1), with B(0) = 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z == 0.0, 1.0, z / np.expm1(z))
+
+
 def evolve_fokker_planck(
     field: GridField,
     drift: Callable[[np.ndarray], np.ndarray],
     nu: float,
     d_tau: float,
     steps: int,
-    return_diagnostics: bool = False,
-):
-    """Advance rho by the Fokker-Planck equation d_tau rho = -(v rho)' + nu rho''.
+) -> GridField:
+    """Advance rho by d_tau rho = -(v rho)' + nu rho'' to tau = d_tau * steps.
 
-    Flux form with zero flux through both boundaries, so the discrete mass
-    sum(rho) * h is conserved exactly up to roundoff. Densities dipping
-    below -1e-12 abort; tiny negative undershoots are clipped and counted.
+    Scharfetter-Gummel fluxes J = (nu/h) [B(-D) rho_i - B(D) rho_{i+1}],
+    where D = (1/nu) * integral of v over the cell (3-point Gauss-Legendre)
+    is the step in log rho_s across the face, so J vanishes on the discrete
+    stationary density exp(cumsum D). Zero flux through both boundaries
+    conserves sum(rho) * h up to roundoff. The horizon is covered in the
+    fewest equal sub-steps dt with dt * r_i <= 0.8 for every cell's
+    out-rate r_i, so each new value is a non-negative mix of old ones.
     """
-    if d_tau < 0:
-        raise ValidationError("d_tau must be >= 0")
-    if d_tau == 0 or steps == 0:
-        result = replace(field, rho=field.rho.copy())
-        return (result, {"clipped": 0, "mass_error": 0.0}) if return_diagnostics else result
-
+    if d_tau < 0 or steps < 0:
+        raise ValidationError("d_tau and steps must be >= 0")
+    if not nu > 0:
+        raise ValidationError(f"nu must be positive, got {nu}")
     h = field.h
-    if nu * d_tau / h**2 > 0.45:
-        raise StabilityError(
-            f"nu*d_tau/h^2 = {nu * d_tau / h**2:.3f} exceeds the 0.45 bound"
-        )
-    x = field.x
-    faces = 0.5 * (x[1:] + x[:-1])
-    v_face = np.asarray(drift(faces), dtype=float)
-    if not np.all(np.isfinite(v_face)):
+    mid = 0.5 * (field.x[1:] + field.x[:-1])
+    offset = 0.5 * h * math.sqrt(0.6)
+    v = np.asarray(drift(np.concatenate((mid - offset, mid, mid + offset))), dtype=float)
+    if not np.all(np.isfinite(v)):
         raise ValidationError("drift is not finite on the grid")
+    v = v.reshape(3, -1)
+    delta = (h / nu) * (5.0 * v[0] + 8.0 * v[1] + 5.0 * v[2]) / 18.0
+    forward, backward = _bernoulli(-delta), _bernoulli(delta)
+    out_rate = np.zeros(field.points)
+    out_rate[:-1] += forward
+    out_rate[1:] += backward
+    tau = d_tau * steps
+    substeps = math.ceil(tau * (nu / h**2) * out_rate.max() / 0.8)
+    scale = (tau / max(substeps, 1)) * nu / h**2
+    forward, backward = scale * forward, scale * backward
 
     rho = field.rho.copy()
     mass0 = rho.sum() * h
-    clipped = 0
-    for _ in range(steps):
-        flux = v_face * 0.5 * (rho[1:] + rho[:-1]) - nu * (rho[1:] - rho[:-1]) / h
-        rho[1:-1] -= (d_tau / h) * (flux[1:] - flux[:-1])
-        rho[0] -= (d_tau / h) * flux[0]
-        rho[-1] += (d_tau / h) * flux[-1]
-        if rho.min() < -1.0e-12:
-            raise ValidationError(
-                f"density fell below -1e-12 (min {rho.min():.3e}); reduce d_tau"
-            )
-        negative = rho < 0
-        clipped += int(np.count_nonzero(negative))
-        rho[negative] = 0.0
+    for _ in range(substeps):
+        flux = forward * rho[:-1] - backward * rho[1:]
+        rho[:-1] -= flux
+        rho[1:] += flux
+    lowest = min(field.rho.min(), rho.min())
+    if lowest < -1.0e-12:
+        raise ValidationError(f"density fell below -1e-12 (min {lowest:.3e})")
     mass_error = abs(rho.sum() * h - mass0)
     if mass_error > 1.0e-6:
         raise ValidationError(f"probability mass drifted by {mass_error:.3e}")
-    result = replace(field, rho=rho)
-    if return_diagnostics:
-        return result, {"clipped": clipped, "mass_error": mass_error}
-    return result
+    return replace(field, rho=rho)
 
 
 def continuity_residual(field: GridField, params: StringParams, n: int) -> float:

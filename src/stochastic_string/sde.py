@@ -244,13 +244,12 @@ def _initial_sampler(
 
 
 def _check_initial_drift(nodes: np.ndarray, q0: np.ndarray, offset: int) -> None:
-    if not nodes.size:
-        return
-    for j, q in enumerate(q0):
-        if np.any(nodes == q):
-            raise ValidationError(
-                f"drift undefined at q_0={q} (density node), trajectory {offset + j}"
-            )
+    on_node = np.isin(q0, nodes)
+    if on_node.any():
+        j = int(np.argmax(on_node))
+        raise ValidationError(
+            f"drift undefined at q_0={q0[j]} (density node), trajectory {offset + j}"
+        )
 
 
 def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:

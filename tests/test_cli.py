@@ -112,44 +112,32 @@ def test_unreadable_config(tmp_path):
     assert run(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == EXIT_VALIDATION
 
 
-def test_stability_violation_exit_code(tmp_path, capsys):
-    # forcing a huge grid step violates the explicit stability bound
-    code = run([
-        "fpe-check", "--n", "1", "-M", "10", "--steps", "10",
-        "--grid-d-tau", "0.5", "--points", "401",
-        "--out", str(tmp_path), "--no-timestamp",
-    ])
-    assert code == EXIT_NUMERICAL
-    assert "bound" in capsys.readouterr().err.lower()
-
-
 @pytest.mark.parametrize("flags", [
-    # default grid step 0.4 h^2/nu = 3.6e-4: rounding 1.4 steps down to one
-    # step of 5.04e-4 would exceed the stability bound
-    ["--d-tau", "0.000504"],
-    # rounding 1.33 steps down to one step of 3e-4 would stop short of the
-    # SDE horizon 4e-4
-    ["--d-tau", "0.0004", "--grid-d-tau", "0.0003"],
+    ["--d-tau", "0.000504", "--steps", "1"],
+    ["--d-tau", "0.0004", "--steps", "3"],
 ])
 def test_fpe_check_grid_ends_at_horizon(tmp_path, monkeypatch, flags):
-    from stochastic_string import fpe
+    from stochastic_string import fpe, sde
 
-    grid = []
-    original = fpe.evolve_fokker_planck
+    grid, paths = [], []
+    evolve, simulate = fpe.evolve_fokker_planck, sde.simulate
 
-    def recorded(field, drift, nu, d_tau, steps):
-        grid.append((d_tau, steps))
-        return original(field, drift, nu, d_tau=d_tau, steps=steps)
+    def recorded_evolve(field, drift, nu, d_tau, steps):
+        grid.append(d_tau * steps)
+        return evolve(field, drift, nu, d_tau, steps)
 
-    monkeypatch.setattr(fpe, "evolve_fokker_planck", recorded)
+    def recorded_simulate(*args, **kwargs):
+        paths.append(kwargs["d_tau"] * kwargs["steps"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(fpe, "evolve_fokker_planck", recorded_evolve)
+    monkeypatch.setattr(sde, "simulate", recorded_simulate)
     code = run([
-        "fpe-check", "--n", "1", "-M", "200", "--steps", "1", *flags,
+        "fpe-check", "--n", "1", "-M", "200", *flags,
         "--out", str(tmp_path), "--no-timestamp",
     ])
     assert code == EXIT_OK
-    ((d_tau, steps),) = grid
-    assert steps == 2
-    assert d_tau * steps == pytest.approx(float(flags[1]), rel=1e-12)
+    assert grid == paths == [float(flags[1]) * int(flags[3])]
 
 
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
@@ -225,6 +213,23 @@ def test_header_round_trips_to_config(tmp_path):
         "--points", str(cfg.points), "--out", str(out2), "--no-timestamp",
     ]) == EXIT_OK
     assert (out / "madelung.txt").read_bytes() == (out2 / "madelung.txt").read_bytes()
+
+
+def test_header_with_retired_grid_d_tau_line(tmp_path):
+    # artifacts written before the FPE step count became internal carry
+    # a config.grid_d_tau line; reading them still gives the run's config
+    assert run([
+        "fpe-check", "--n", "1", "-M", "200", "--steps", "5",
+        "--out", str(tmp_path), "--no-timestamp",
+    ]) == EXIT_OK
+    path = tmp_path / "fpe_check.txt"
+    cfg = RunConfig.from_header(path)
+    text = path.read_text()
+    old = text.replace("# config.m = ", "# config.grid_d_tau = 0.0\n# config.m = ")
+    assert old != text
+    path.write_text(old)
+    assert RunConfig.from_header(path) == cfg
+    assert cfg.command == "fpe-check" and cfg.steps == 5 and cfg.count == 200
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

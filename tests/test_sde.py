@@ -333,6 +333,21 @@ def test_node_crossings_counted(params):
     assert ground.node_crossings == 0
 
 
+def test_start_on_node_names_first_trajectory(params):
+    excited = ModeStateSpec(occupations={(1, 1): 1})
+    with pytest.raises(ValidationError, match=r"q_0=0\.0 \(density node\), trajectory 0$"):
+        simulate(params, excited, 1, 1, init=0.0, d_tau=1e-3, steps=2, count=5)
+
+    draws = []
+
+    def third_on_node(rng, size):
+        draws.append(size)
+        return np.full(size, 0.0 if len(draws) == 3 else 0.5)
+
+    with pytest.raises(ValidationError, match=r"trajectory 2$"):
+        simulate(params, excited, 1, 1, init=third_on_node, d_tau=1e-3, steps=2, count=5)
+
+
 def test_non_finite_detection(params, ground_spec):
     with pytest.raises(sde.NonFiniteSampleError) as err:
         simulate(
