@@ -5,7 +5,6 @@ from .brackets import (
     bracket_from_commutator,
     commutator_expectation,
     expectation,
-    grid_functional,
     mean_momentum,
     mean_position,
     stochastic_bracket,
@@ -51,7 +50,6 @@ __all__ = [
     "creation",
     "expectation",
     "format_anomaly_report",
-    "grid_functional",
     "identity",
     "lorentz_generator",
     "mean_momentum",

@@ -31,7 +31,6 @@ class UnsupportedExpectationError(ValidationError):
 class BracketFunctional:
     """Functional of (rho, S) with evaluable functional derivatives."""
 
-    kind: str
     d_rho: Callable[[GridField], np.ndarray]
     d_S: Callable[[GridField], np.ndarray]
 
@@ -39,7 +38,6 @@ class BracketFunctional:
 def mean_position() -> BracketFunctional:
     """A[rho, S] = integral rho x dx."""
     return BracketFunctional(
-        kind="mean-position",
         d_rho=lambda field: field.x,
         d_S=lambda field: np.zeros(field.points),
     )
@@ -48,17 +46,9 @@ def mean_position() -> BracketFunctional:
 def mean_momentum() -> BracketFunctional:
     """B[rho, S] = integral rho S' dx; dB/dS = -rho' by parts."""
     return BracketFunctional(
-        kind="mean-momentum",
         d_rho=lambda field: _gradient(field.S, field.h),
         d_S=lambda field: -_gradient(field.rho, field.h),
     )
-
-
-def grid_functional(
-    d_rho: Callable[[GridField], np.ndarray],
-    d_S: Callable[[GridField], np.ndarray],
-) -> BracketFunctional:
-    return BracketFunctional(kind="user", d_rho=d_rho, d_S=d_S)
 
 
 def stochastic_bracket(

@@ -1,29 +1,39 @@
 """Batch front-end: subcommands orchestrating the engine modules.
 
-Every run writes columnar text artifacts whose header embeds the full run
-configuration as ``# key = value`` lines; parsing the header back yields a
-RunConfig that reproduces the run byte-for-byte (the timestamp line is
-suppressible for that purpose). Exit codes: 0 success, 1 validation
-error or out of memory, 2 numerical failure.
+Every subcommand takes ``--config FILE``, ``--out DIR``, ``--no-timestamp``
+and the five common fields (``alpha_prime``, ``dims``, ``mode_cutoff``,
+``p_plus``, ``seed``), plus the RunConfig fields listed in its
+``_COMMANDS`` row. A field's flag is its name with dashes (``--d-tau``);
+``-M`` is ``--count``. Every run writes columnar text artifacts whose
+header embeds the full run configuration as ``# key = value`` lines;
+parsing the header back yields a RunConfig that reproduces the run
+byte-for-byte (the timestamp line is suppressible for that purpose).
+Exit codes: 0 success, 1 validation error or out of memory, 2 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, algebra, fpe, observables, sde
-from .core import ModeStateSpec, StringParams, ValidationError, load_config, write_artifact
+from .core import (
+    CONFIG_KEYS, ModeStateSpec, StringParams, ValidationError, load_config, write_artifact,
+)
 from .drift import StationaryModeState
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+# text -> value for each RunConfig field type: argparse values and header lines
+_FROM_TEXT = {"int": int, "float": float, "str": str, "bool": "True".__eq__}
 
 
 @dataclass
@@ -57,12 +67,7 @@ class RunConfig:
     timestamp: bool = True
 
     def params(self) -> StringParams:
-        return StringParams(
-            alpha_prime=self.alpha_prime,
-            dims=self.dims,
-            mode_cutoff=self.mode_cutoff,
-            p_plus=self.p_plus,
-        )
+        return StringParams(**{f.name: getattr(self, f.name) for f in fields(StringParams)})
 
     def header_lines(self) -> list[str]:
         lines = [f"config.{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
@@ -74,24 +79,13 @@ class RunConfig:
     def from_header(path: str | Path) -> "RunConfig":
         values: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
-            if not raw.startswith("# config."):
-                continue
-            key, _, val = raw[len("# config.") :].partition(" = ")
-            values[key.strip()] = val.strip()
-        kwargs = {}
-        for f in fields(RunConfig):
-            if f.name not in values:
-                continue
-            raw_val = values[f.name]
-            if f.type in ("int", int):
-                kwargs[f.name] = int(raw_val)
-            elif f.type in ("float", float):
-                kwargs[f.name] = float(raw_val)
-            elif f.type in ("bool", bool):
-                kwargs[f.name] = raw_val == "True"
-            else:
-                kwargs[f.name] = raw_val.strip("'\"")
-        return RunConfig(**kwargs)
+            if raw.startswith("# config."):
+                key, _, val = raw[len("# config.") :].partition(" = ")
+                values[key.strip()] = val.strip().strip("'\"")
+        return RunConfig(**{
+            f.name: _FROM_TEXT[f.type](values[f.name])
+            for f in fields(RunConfig) if f.name in values
+        })
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,102 +95,47 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_HELP = {
+    "k": "occupation of the simulated mode",
+    "momentum": "zero-mode momentum",
+    "init": '"stationary" or a number',
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stochastic-string", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    types = {f.name: f.type for f in fields(RunConfig)}
 
-    def add_common(p):
-        p.add_argument("--config", type=str, help="key = value parameter file")
-        p.add_argument("--alpha-prime", type=float, dest="alpha_prime")
-        p.add_argument("--dims", type=int)
-        p.add_argument("--mode-cutoff", type=int, dest="mode_cutoff")
-        p.add_argument("--p-plus", type=float, dest="p_plus")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", type=str, default=".", help="output directory")
+    def add_fields(p, names):
+        for name in names:
+            flags = ("-M",) * (name == "count") + ("--" + name.replace("_", "-"),)
+            kind = types[name]
+            how = {"action": "store_true"} if kind == "bool" else {"type": _FROM_TEXT[kind]}
+            p.add_argument(*flags, **how, help=_HELP.get(name))
+
+    for command, (_, text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="key = value parameter file")
+        add_fields(p, CONFIG_KEYS)
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--no-timestamp", action="store_true")
-
-    p = sub.add_parser("simulate", help="run a mode-amplitude ensemble")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--direction", type=int)
-    p.add_argument("--k", type=int, help="occupation of the simulated mode")
-    p.add_argument("--momentum", type=float, help="zero-mode momentum")
-    p.add_argument("-M", "--count", type=int, dest="count")
-    p.add_argument("--d-tau", type=float, dest="d_tau")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--record-stride", type=int, dest="record_stride")
-    p.add_argument("--init", type=str, help='"stationary" or a number')
-
-    p = sub.add_parser("correlate", help="two-point mode correlator vs analytic decay")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--direction", type=int)
-    p.add_argument("--dtau-lag", type=float, dest="dtau_lag")
-    p.add_argument("-M", "--count", type=int, dest="count")
-    p.add_argument("--d-tau", type=float, dest="d_tau")
-    p.add_argument("--record-stride", type=int, dest="record_stride")
-
-    p = sub.add_parser("fpe-check", help="SDE histogram vs Fokker-Planck density")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("-M", "--count", type=int, dest="count")
-    p.add_argument("--d-tau", type=float, dest="d_tau")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("madelung-check", help="Madelung and continuity residuals")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--energy-offset", type=float, dest="energy_offset")
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("spectrum", help="oscillator level degeneracies")
-    add_common(p)
-    p.add_argument("--max-level", type=int, dest="max_level")
-    p.add_argument("--zeta-intercept", action="store_true", dest="zeta_intercept")
-
-    p = sub.add_parser("anomaly", help="Lorentz anomaly polynomial and solution set")
-    add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--intercept", type=float)
-
-    p = sub.add_parser("bracket-check", help="stochastic bracket vs commutator")
-    add_common(p)
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("transport-check", help="forward transport derivative residual")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("-M", "--count", type=int, dest="count")
-    p.add_argument("--d-tau", type=float, dest="d_tau")
-    p.add_argument("--steps", type=int)
+        add_fields(p, names.split())
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    cfg = RunConfig(command=args.command, timestamp=not args.no_timestamp)
+    if args.config:
         params, seed = load_config(args.config)
-        cfg.alpha_prime = params.alpha_prime
-        cfg.dims = params.dims
-        cfg.mode_cutoff = params.mode_cutoff
-        cfg.p_plus = params.p_plus
+        for f in fields(StringParams):
+            setattr(cfg, f.name, getattr(params, f.name))
         if seed is not None:
             cfg.seed = seed
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None and f.name not in ("command", "timestamp"):
-            setattr(cfg, f.name, value)
-    if getattr(args, "no_timestamp", False):
-        cfg.timestamp = False
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg
 
 
@@ -241,6 +180,10 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
         raise ValidationError(
             "zero mode is excluded from correlators (infrared divergence); use n >= 1"
         )
+    if not cfg.d_tau > 0:
+        raise ValidationError(f"d_tau must be positive, got {cfg.d_tau}")
+    if cfg.record_stride < 1:
+        raise ValidationError(f"record_stride must be >= 1, got {cfg.record_stride}")
     state = ModeStateSpec()
     lag_steps = round(cfg.dtau_lag / (cfg.d_tau * cfg.record_stride))
     steps = max(2 * lag_steps, lag_steps + round(1.0 / (cfg.d_tau * cfg.record_stride)))
@@ -308,15 +251,11 @@ def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    result = observables.level_spectrum(params, cfg.max_level, zeta_intercept=cfg.zeta_intercept)
-    if cfg.zeta_intercept:
-        levels, intercept = result
-    else:
-        levels, intercept = result, None
+    levels = observables.level_spectrum(params, cfg.max_level)
     body = ["level energy_offset degeneracy"]
     body += [f"{lv.level} {lv.energy_offset!r} {lv.degeneracy}" for lv in levels]
-    if intercept is not None:
-        body.append(f"# zeta_intercept = {intercept!r}")
+    if cfg.zeta_intercept:
+        body.append(f"# zeta_intercept = {observables.zeta_intercept(params)!r}")
     path = _write(cfg, out, "spectrum.txt", body)
     print(f"wrote {path}")
     return EXIT_OK
@@ -373,15 +312,21 @@ def _cmd_transport_check(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
+# name: (handler, help, RunConfig fields settable beyond the common five)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "correlate": _cmd_correlate,
-    "fpe-check": _cmd_fpe_check,
-    "madelung-check": _cmd_madelung_check,
-    "spectrum": _cmd_spectrum,
-    "anomaly": _cmd_anomaly,
-    "bracket-check": _cmd_bracket_check,
-    "transport-check": _cmd_transport_check,
+    "simulate": (_cmd_simulate, "run a mode-amplitude ensemble",
+                 "n direction k momentum count d_tau steps record_stride init"),
+    "correlate": (_cmd_correlate, "two-point mode correlator vs analytic decay",
+                  "n direction dtau_lag count d_tau record_stride"),
+    "fpe-check": (_cmd_fpe_check, "SDE histogram vs Fokker-Planck density",
+                  "n count d_tau steps x_min x_max points"),
+    "madelung-check": (_cmd_madelung_check, "Madelung and continuity residuals",
+                       "n k energy_offset x_min x_max points"),
+    "spectrum": (_cmd_spectrum, "oscillator level degeneracies", "max_level zeta_intercept"),
+    "anomaly": (_cmd_anomaly, "Lorentz anomaly polynomial and solution set", "m intercept"),
+    "bracket-check": (_cmd_bracket_check, "stochastic bracket vs commutator", "x_min x_max points"),
+    "transport-check": (_cmd_transport_check, "forward transport derivative residual",
+                        "n count d_tau steps"),
 }
 
 
@@ -392,7 +337,7 @@ def run(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         cfg.params().validate()
         try:
-            return _COMMANDS[args.command](cfg, getattr(args, "out", "."))
+            return _COMMANDS[args.command][0](cfg, args.out)
         except MemoryError:
             raise ValidationError(
                 f"out of memory for count = {cfg.count} trajectories and "

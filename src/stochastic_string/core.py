@@ -151,14 +151,9 @@ def load_config(path: str | Path) -> tuple[StringParams, int | None]:
     """Read parameters (and an optional seed) from a config file."""
     values = parse_config(Path(path).read_text())
     seed = values.pop("seed", None)
-    params = StringParams(
-        alpha_prime=float(values.get("alpha_prime", 0.5)),
-        dims=int(values.get("dims", 26)),
-        mode_cutoff=int(values.get("mode_cutoff", 4)),
-        p_plus=float(values.get("p_plus", 1.0)),
-    )
+    params = StringParams(**{"alpha_prime": 0.5, **values})
     params.validate()
-    return params, (int(seed) if seed is not None else None)
+    return params, seed
 
 
 def write_artifact(path: str | Path, header_lines: Iterable[str], chunks: Iterable[str]) -> Path:

@@ -189,15 +189,12 @@ class SpectrumLevel:
     degeneracy: int
 
 
-def level_spectrum(
-    params: StringParams, max_level: int, zeta_intercept: bool = False
-) -> list[SpectrumLevel] | tuple[list[SpectrumLevel], float]:
+def level_spectrum(params: StringParams, max_level: int) -> list[SpectrumLevel]:
     """Degeneracies of oscillator levels N = 0..max_level.
 
     Counts occupation patterns {k_{n,i}} with sum of n*k_{n,i} = N over
     D-2 transverse directions; the energy above the ground state is N in
-    units where mode n has frequency n. With ``zeta_intercept`` the
-    zeta-regularized normal-ordering constant (D-2)/24 is also returned.
+    units where mode n has frequency n.
     """
     if max_level < 0:
         raise ValidationError("max_level must be >= 0")
@@ -214,10 +211,12 @@ def level_spectrum(
                 acc += ways[total - n * c] * comb(c + t - 1, t - 1)
             updated[total] = acc
         ways = updated
-    levels = [SpectrumLevel(N, float(N), int(ways[N])) for N in range(max_level + 1)]
-    if zeta_intercept:
-        return levels, t / 24.0
-    return levels
+    return [SpectrumLevel(N, float(N), int(ways[N])) for N in range(max_level + 1)]
+
+
+def zeta_intercept(params: StringParams) -> float:
+    """Zeta-regularized normal-ordering constant (D-2)/24 of the transverse modes."""
+    return params.transverse_count / 24.0
 
 
 def correlator_report_rows(

@@ -63,7 +63,6 @@ class Ensemble:
     mode: int
     direction: int
     seed: int
-    tau_0: float
     d_tau: float
     steps: int
     record_stride: int
@@ -80,9 +79,7 @@ class Ensemble:
         return self.samples.shape[1] - 1
 
     def recorded_taus(self) -> np.ndarray:
-        return self.tau_0 + self.d_tau * self.record_stride * np.arange(
-            self.samples.shape[1]
-        )
+        return self.d_tau * self.record_stride * np.arange(self.samples.shape[1])
 
     def sample_at(self, t: int) -> np.ndarray:
         return self.samples[:, t]
@@ -156,6 +153,8 @@ def simulate(
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if record_stride < 1:
+        raise ValidationError(f"record_stride must be >= 1, got {record_stride}")
     if steps % record_stride != 0:
         raise ValidationError("record_stride must divide steps")
     mode_state = _resolve_state(params, state, n, i)
@@ -211,7 +210,6 @@ def simulate(
         mode=n,
         direction=i,
         seed=seed,
-        tau_0=0.0,
         d_tau=d_tau,
         steps=steps,
         record_stride=record_stride,

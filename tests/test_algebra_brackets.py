@@ -5,12 +5,12 @@ from stochastic_string.core import ModeStateSpec, StringParams
 from stochastic_string.drift import StationaryModeState
 from stochastic_string.fpe import GridField, stationary_field
 from stochastic_string.algebra import (
+    BracketFunctional,
     annihilation,
     bracket_from_commutator,
     commutator_expectation,
     creation,
     expectation,
-    grid_functional,
     mean_momentum,
     mean_position,
     momentum,
@@ -34,7 +34,7 @@ def test_canonical_pair_bracket(ground_field):
 def test_bracket_antisymmetry_and_constants(ground_field):
     A = mean_position()
     assert stochastic_bracket(A, A, ground_field) == 0.0
-    shifted = grid_functional(
+    shifted = BracketFunctional(
         d_rho=lambda f: A.d_rho(f),
         d_S=lambda f: np.zeros(f.points),
     )

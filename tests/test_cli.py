@@ -1,6 +1,75 @@
+import argparse
+from dataclasses import fields
+
 import pytest
 
-from stochastic_string.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, run
+from stochastic_string.cli import (
+    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, _build_parser, _merge_config, run,
+)
+
+_COMMON = {
+    "-h", "--help", "--config", "--alpha-prime", "--dims", "--mode-cutoff", "--p-plus",
+    "--seed", "--out", "--no-timestamp",
+}
+# each subcommand's option strings, as the hand-written parser had them
+_OPTIONS = {
+    "simulate": _COMMON | {
+        "--n", "--direction", "--k", "--momentum", "-M", "--count", "--d-tau", "--steps",
+        "--record-stride", "--init",
+    },
+    "correlate": _COMMON | {
+        "--n", "--direction", "--dtau-lag", "-M", "--count", "--d-tau", "--record-stride",
+    },
+    "fpe-check": _COMMON | {
+        "--n", "-M", "--count", "--d-tau", "--steps", "--x-min", "--x-max", "--points",
+    },
+    "madelung-check": _COMMON | {
+        "--n", "--k", "--energy-offset", "--x-min", "--x-max", "--points",
+    },
+    "spectrum": _COMMON | {"--max-level", "--zeta-intercept"},
+    "anomaly": _COMMON | {"--m", "--intercept"},
+    "bracket-check": _COMMON | {"--x-min", "--x-max", "--points"},
+    "transport-check": _COMMON | {"--n", "-M", "--count", "--d-tau", "--steps"},
+}
+
+
+def _option_strings(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()
+    }
+
+
+def test_flag_table():
+    assert _option_strings(_build_parser()) == _OPTIONS
+
+
+def test_every_run_config_field_is_settable():
+    parser = _build_parser()
+    options = _option_strings(parser)
+    sample = {"int": ["7"], "float": ["0.25"], "str": ["0.5"], "bool": []}
+    for f in fields(RunConfig):
+        if f.name in ("command", "timestamp"):
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        command = next((c for c, opts in options.items() if flag in opts), None)
+        assert command is not None, f"no subcommand sets {f.name}"
+        cfg = _merge_config(parser.parse_args([command, flag, *sample[f.type]]))
+        assert getattr(cfg, f.name) != getattr(RunConfig(command), f.name), f.name
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--record-stride", "0"], "record_stride"),
+    (["simulate", "--record-stride", "-2"], "record_stride"),
+    (["simulate", "--record-stride", "-10", "--steps", "10"], "record_stride"),
+    (["correlate", "--record-stride", "0"], "record_stride"),
+    (["correlate", "--record-stride", "-1"], "record_stride"),
+    (["correlate", "--d-tau", "0"], "d_tau"),
+])
+def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
+    code = run([*argv, "-M", "5", "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
 
 
 def test_anomaly_command(tmp_path, capsys):
@@ -174,6 +243,7 @@ def test_spectrum_output(tmp_path):
     assert code == EXIT_OK
     body = (tmp_path / "spectrum.txt").read_text()
     assert "0 0.0 1" in body and "1 1.0 24" in body and "2 2.0 324" in body
+    assert body.endswith("\n# zeta_intercept = 1.0\n")
 
 
 def test_bracket_check(tmp_path, capsys):

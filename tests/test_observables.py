@@ -17,6 +17,7 @@ from stochastic_string.observables import (
     correlator_at_lag,
     fit_log_slope,
     level_spectrum,
+    zeta_intercept,
     mode_correlator,
     reconstruct_string,
     summed_correlator,
@@ -198,11 +199,9 @@ def test_level_spectrum_matches_generating_function():
 
 def test_level_spectrum_zeta_intercept():
     params = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=4)
-    levels, intercept = level_spectrum(params, 1, zeta_intercept=True)
-    assert intercept == pytest.approx(1.0)
+    assert zeta_intercept(params) == pytest.approx(1.0)
     params4 = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=4)
-    _, intercept4 = level_spectrum(params4, 0, zeta_intercept=True)
-    assert intercept4 == pytest.approx(2.0 / 24.0)
+    assert zeta_intercept(params4) == pytest.approx(2.0 / 24.0)
 
 
 def test_report_rows(ground_ensemble):
