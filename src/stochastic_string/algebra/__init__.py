@@ -20,7 +20,6 @@ from .lorentz import (
     lorentz_generator,
 )
 from .operators import (
-    ModeCutoffError,
     OperatorExpr,
     annihilation,
     commutator,
@@ -35,7 +34,6 @@ __all__ = [
     "AlgebraConsistencyError",
     "BracketFunctional",
     "Coeff",
-    "ModeCutoffError",
     "OperatorExpr",
     "PolyDA",
     "TruncationError",

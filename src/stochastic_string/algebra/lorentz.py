@@ -303,9 +303,10 @@ def anomaly_value_direct(m: int, params: StringParams, intercept) -> Fraction:
     return poly.get(0, Fraction(0)) * _normalization(m, ap, pp)
 
 
-def anomaly_report(params: StringParams, modes=(1, 2)) -> str:
-    """Structured text report: polynomial, evaluation at (26, 1), solution set."""
-    return format_anomaly_report([(m, anomaly_coefficient(m, params)) for m in modes])
+def anomaly_report(params: StringParams) -> str:
+    """Structured text report of Delta_1 and Delta_2: polynomials, evaluation
+    at (26, 1) and their joint solution set."""
+    return format_anomaly_report([(m, anomaly_coefficient(m, params)) for m in (1, 2)])
 
 
 def format_anomaly_report(polys: list[tuple[int, PolyDA]]) -> str:

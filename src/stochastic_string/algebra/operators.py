@@ -27,10 +27,6 @@ _ZERO = (Fraction(0), Fraction(0))
 _UNIT = (Fraction(1), Fraction(0))
 
 
-class ModeCutoffError(ValueError):
-    """Operator touches a mode beyond the configured cutoff."""
-
-
 def creation(n: int, i: int) -> "OperatorExpr":
     return OperatorExpr({(("c", n, i),): ONE})
 
@@ -189,10 +185,6 @@ class OperatorExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorExpr) and self.terms == other.terms
 
-    def max_mode(self) -> int:
-        modes = [t[1] for w in self.terms for t in w if t[0] in ("c", "a")]
-        return max(modes, default=0)
-
     def substitute_a(self, value) -> "OperatorExpr":
         return OperatorExpr({w: c.substitute_a(value) for w, c in self.terms.items()})
 
@@ -224,12 +216,7 @@ def _accumulate(store: dict[Word, Coeff], word: Word, coeff: Coeff) -> None:
         store[word] = total
 
 
-def commutator(
-    A: OperatorExpr,
-    B: OperatorExpr,
-    mode_cutoff: int | None = None,
-    words=None,
-) -> OperatorExpr:
+def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
     """AB - BA, re-canonicalized with exact coefficients.
 
     Word pairs whose generators all commute are skipped outright; their
@@ -241,12 +228,6 @@ def commutator(
     No other pair is normal-ordered, and a pair's coefficient product is
     formed only when it contributes.
     """
-    if mode_cutoff is not None:
-        for expr in (A, B):
-            if expr.max_mode() > mode_cutoff:
-                raise ModeCutoffError(
-                    f"operator uses mode {expr.max_mode()} beyond cutoff {mode_cutoff}"
-                )
     wanted = None if words is None else {tuple(w) for w in words}
     tokens = sorted({t for w in wanted or () for t in w})
 

@@ -61,8 +61,8 @@ class Coeff:
         return Coeff({(0, 1): (Fraction(0), fr)})
 
     @staticmethod
-    def symbol_a(power: int = 1) -> "Coeff":
-        return Coeff({(power, 1): (Fraction(1), Fraction(0))})
+    def symbol_a() -> "Coeff":
+        return Coeff({(1, 1): (Fraction(1), Fraction(0))})
 
     @staticmethod
     def sqrt(value) -> "Coeff":
@@ -165,7 +165,6 @@ class Coeff:
 
 
 ONE = Coeff.rational(1)
-I_UNIT = Coeff.imaginary(1)
 
 
 class PolyDA:

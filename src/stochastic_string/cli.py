@@ -144,9 +144,7 @@ def _write(cfg: RunConfig, out_dir: str, name: str, body_lines: list[str]) -> Pa
 
 
 def _mode_state_spec(cfg: RunConfig, params: StringParams) -> ModeStateSpec:
-    occupations = {}
-    if cfg.n >= 1 and cfg.k:
-        occupations[(cfg.n, cfg.direction)] = cfg.k
+    occupations = {(cfg.n, cfg.direction): cfg.k} if cfg.k else {}
     momentum = ()
     if cfg.n == 0 and cfg.momentum:
         momentum = tuple(
@@ -208,14 +206,12 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
 
 def _cmd_fpe_check(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    nu = params.diffusion(cfg.n)
-    mode_state = StationaryModeState(params, cfg.n, 0)
+    state = ModeStateSpec()
+    mode_state = sde._resolve_state(params, state, cfg.n, cfg.direction)
     mean0, std0 = 1.5, 0.7
     field = fpe.gaussian_field(cfg.x_min, cfg.x_max, cfg.points, mean0, std0)
-    evolved = fpe.evolve_fokker_planck(
-        field, lambda x: mode_state.forward_drift_array(x)[0], nu, cfg.d_tau, cfg.steps
-    )
-    state = ModeStateSpec()
+    drift = lambda x: mode_state.forward_drift_array(x)[0]
+    evolved = fpe.evolve_fokker_planck(field, drift, mode_state.nu, cfg.d_tau, cfg.steps)
     rng_init = lambda rng, size: rng.normal(mean0, std0, size)
     ensemble = sde.simulate(
         params, state, cfg.n, cfg.direction, init=rng_init,
@@ -232,7 +228,7 @@ def _cmd_fpe_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    mode_state = StationaryModeState(params, cfg.n, cfg.k)
+    mode_state = sde._resolve_state(params, _mode_state_spec(cfg, params), cfg.n, cfg.direction)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     energy = mode_state.energy() + cfg.energy_offset
     result = fpe.madelung_residual(field, params, mode_state, energy=energy, detail=True)

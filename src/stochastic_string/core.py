@@ -89,24 +89,20 @@ class ModeStateSpec:
     occupations: dict[tuple[int, int], int] = field(default_factory=dict)
     zero_mode_momentum: tuple[float, ...] = ()
 
-    def level(self) -> int:
-        """Total oscillator level sum(n * k) of the state."""
-        return sum(n * k for (n, _i), k in self.occupations.items())
-
     def occupation(self, n: int, i: int) -> int:
         return self.occupations.get((n, i), 0)
 
     def validate(self, params: StringParams) -> None:
         for (n, i), k in self.occupations.items():
             if n < 1:
-                raise ValidationError(f"occupied mode index must be >= 1, got {n}")
+                raise ValidationError(f"occupation k = {k} needs a mode n >= 1, got n = {n}")
             if n > params.mode_cutoff:
                 raise ValidationError(
-                    f"mode {n} exceeds mode_cutoff {params.mode_cutoff}"
+                    f"mode n = {n} exceeds mode_cutoff {params.mode_cutoff}"
                 )
             if not 1 <= i <= params.transverse_count:
                 raise ValidationError(
-                    f"direction {i} outside 1..{params.transverse_count}"
+                    f"direction = {i} outside 1..{params.transverse_count}"
                 )
             if k < 0:
                 raise ValidationError(f"occupation must be >= 0, got {k} at ({n},{i})")

@@ -90,6 +90,24 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _second_difference(y: np.ndarray, h: float) -> np.ndarray:
+    """Central second difference on the interior points."""
+    return (y[2:] - 2 * y[1:-1] + y[:-2]) / h**2
+
+
+def _off_node_windows(field: GridField, state: StationaryModeState) -> np.ndarray:
+    """Mask of the interior grid points at least 5h from every density node."""
+    xin = field.x[1:-1]
+    keep = np.ones(field.points - 2, dtype=bool)
+    for node in state.nodes():
+        keep &= np.abs(xin - node) >= 5 * field.h
+    if not keep.any():
+        raise ValidationError(
+            f"points = {field.points} leaves no grid point 5h away from a node; raise points"
+        )
+    return keep
+
+
 def _bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (e^z - 1), with B(0) = 1."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,7 +210,6 @@ def madelung_residual(
         energy = state.energy()
     ap = params.alpha_prime
     h = field.h
-    x = field.x
     # Two equivalent second-order discretizations of the osmotic term
     # (R')^2 + R'' == sqrt(rho)''/sqrt(rho): the log form is exact for
     # Gaussian tails, the amplitude form keeps the 1/x^2 cancellations
@@ -201,20 +218,18 @@ def madelung_residual(
     with np.errstate(divide="ignore", invalid="ignore"):
         R = 0.5 * np.log(field.rho)
         dR = _gradient(R, h)[1:-1]
-        log_form = dR**2 + (R[2:] - 2 * R[1:-1] + R[:-2]) / h**2
+        log_form = dR**2 + _second_difference(R, h)
         amp = np.sqrt(field.rho)
-        amp_form = (amp[2:] - 2 * amp[1:-1] + amp[:-2]) / h**2 / amp[1:-1]
+        amp_form = _second_difference(amp, h) / amp[1:-1]
     dS = _gradient(field.S, h)[1:-1]
-    xin = x[1:-1]
+    xin = field.x[1:-1]
     rest = -energy + 2.0 * ap * dS**2 + state.n**2 * xin**2 / (8.0 * ap)
     residual = np.minimum(
         np.abs(rest - 2.0 * ap * log_form), np.abs(rest - 2.0 * ap * amp_form)
     )
     residual[~np.isfinite(residual)] = np.inf
 
-    keep = field.rho[1:-1] > 1.0e-200
-    for node in state.nodes():
-        keep &= np.abs(xin - node) >= 5 * h
+    keep = (field.rho[1:-1] > 1.0e-200) & _off_node_windows(field, state)
     finite_excluded = residual[~keep]
     finite_excluded = finite_excluded[np.isfinite(finite_excluded)]
     result = MadelungResult(
@@ -239,28 +254,24 @@ def eigen_residual(
     if energy is None:
         energy = state.energy()
     ap = params.alpha_prime
-    h = field.h
-    x = field.x
     psi = np.sqrt(field.rho) * np.exp(1j * field.S)
-    lap = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h**2
-    h_psi = -2.0 * ap * lap + state.n**2 * x[1:-1] ** 2 / (8.0 * ap) * psi[1:-1]
+    lap = _second_difference(psi, field.h)
+    h_psi = -2.0 * ap * lap + state.n**2 * field.x[1:-1] ** 2 / (8.0 * ap) * psi[1:-1]
     err = h_psi - energy * psi[1:-1]
-    keep = np.ones(field.points - 2, dtype=bool)
-    for node in state.nodes():
-        keep &= np.abs(x[1:-1] - node) >= 5 * h
+    keep = _off_node_windows(field, state)
     return float(
         np.linalg.norm(err[keep]) / np.linalg.norm(energy * psi[1:-1][keep])
     )
 
 
-def l1_distance_to_samples(field: GridField, samples: np.ndarray, bins: int = 61) -> float:
+def l1_distance_to_samples(field: GridField, samples: np.ndarray) -> float:
     """L1 distance between a grid density and a sample histogram.
 
-    Both are reduced to probability masses on ``bins`` equal cells spanning
-    the grid, which keeps the statistical noise floor of the comparison
+    Both are reduced to probability masses on 61 equal cells spanning the
+    grid, which keeps the statistical noise floor of the comparison
     well below the 0.02 agreement target at ensemble sizes around 1e5.
     """
-    edges = np.linspace(field.x_min, field.x_max, bins + 1)
+    edges = np.linspace(field.x_min, field.x_max, 62)
     hist, _ = np.histogram(samples, bins=edges)
     hist_mass = hist / len(samples)
     cdf = np.concatenate(
@@ -276,17 +287,3 @@ def export_field(field: GridField, path: str | Path, header_lines: Sequence[str]
     """Write the field as columnar text: x, rho, S."""
     rows = zip(field.x.tolist(), field.rho.tolist(), field.S.tolist())
     write_artifact(path, header_lines, ["x rho S\n"] + [f"{x!r} {r!r} {s!r}\n" for x, r, s in rows])
-
-
-def import_field(path: str | Path) -> GridField:
-    """Read a field written by :func:`export_field`."""
-    xs, rhos, ss = [], [], []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("x "):
-            continue
-        x, r, s = line.split()
-        xs.append(float(x))
-        rhos.append(float(r))
-        ss.append(float(s))
-    return GridField(xs[0], xs[-1], np.array(rhos), np.array(ss))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ class CorrelatorEstimate:
     delta_tau: float
     value: float
     standard_error: float
-    sample_count: int
 
 
 def _require_ground_state(ensemble: Ensemble) -> None:
@@ -60,7 +58,7 @@ def mode_correlator(ensemble: Ensemble, t: int, t_prime: int) -> CorrelatorEstim
     value = float(products.mean())
     se = float(products.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     lag = (t - t_prime) * ensemble.d_tau * ensemble.record_stride
-    return CorrelatorEstimate(ensemble.mode, lag, value, se, m)
+    return CorrelatorEstimate(ensemble.mode, lag, value, se)
 
 
 def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
@@ -80,7 +78,7 @@ def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
     value = float(per_traj.mean())
     se = float(per_traj.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     lag = lag_steps * ensemble.d_tau * ensemble.record_stride
-    return CorrelatorEstimate(ensemble.mode, lag, value, se, m)
+    return CorrelatorEstimate(ensemble.mode, lag, value, se)
 
 
 def analytic_mode_correlator(params: StringParams, n: int, delta_tau: float) -> float:
@@ -198,20 +196,14 @@ def level_spectrum(params: StringParams, max_level: int) -> list[SpectrumLevel]:
     """
     if max_level < 0:
         raise ValidationError("max_level must be >= 0")
-    t = params.transverse_count
-    # count per mode: putting c quanta of mode n into t directions has
-    # C(c + t - 1, t - 1) arrangements; convolve over modes.
-    ways = np.zeros(max_level + 1, dtype=object)
-    ways[0] = 1
+    # coefficients of prod_n (1 - q^n)^-(D-2): one factor 1/(1 - q^n) per
+    # (mode, direction), each a knapsack pass over the levels
+    ways = [1] + [0] * max_level
     for n in range(1, max_level + 1):
-        updated = ways.copy()
-        for total in range(n, max_level + 1):
-            acc = updated[total]
-            for c in range(1, total // n + 1):
-                acc += ways[total - n * c] * comb(c + t - 1, t - 1)
-            updated[total] = acc
-        ways = updated
-    return [SpectrumLevel(N, float(N), int(ways[N])) for N in range(max_level + 1)]
+        for _ in range(params.transverse_count):
+            for level in range(n, max_level + 1):
+                ways[level] += ways[level - n]
+    return [SpectrumLevel(N, float(N), ways[N]) for N in range(max_level + 1)]
 
 
 def zeta_intercept(params: StringParams) -> float:

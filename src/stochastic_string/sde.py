@@ -62,7 +62,6 @@ class Ensemble:
     state: StationaryModeState
     mode: int
     direction: int
-    seed: int
     d_tau: float
     steps: int
     record_stride: int
@@ -115,6 +114,10 @@ def _resolve_state(
     params: StringParams, state: ModeStateSpec, n: int, i: int
 ) -> StationaryModeState:
     state.validate(params)
+    if not 0 <= n <= params.mode_cutoff:
+        raise ValidationError(f"mode n = {n} outside 0..mode_cutoff {params.mode_cutoff}")
+    if not 1 <= i <= params.transverse_count:
+        raise ValidationError(f"direction = {i} outside 1..{params.transverse_count}")
     if n == 0:
         return StationaryModeState(params, 0, momentum=state.momentum_component(i))
     return StationaryModeState(params, n, k=state.occupation(n, i))
@@ -133,7 +136,6 @@ def simulate(
     seed: int = 0,
     record_stride: int = 1,
     drift_cap: float = 1.0e6,
-    nu: float | None = None,
 ) -> Ensemble:
     """Euler-Maruyama ensemble for mode ``n``, transverse direction ``i``.
 
@@ -142,9 +144,9 @@ def simulate(
     there), or a callable ``(rng, size) -> array``. Each trajectory consumes
     its own Philox stream keyed by (seed, trajectory index): the first draws
     initialize q_0, the rest drive the noise, so results do not depend on
-    chunk boundaries. ``nu`` overrides the mode's diffusion constant
-    (``nu=0`` gives the deterministic Euler limit); statistics helpers
-    keep using the physical constant, so this is a diagnostics hook only.
+    chunk boundaries. The noise scale is the mode's diffusion constant
+    nu_n, fixed by alpha'. Mode ``n`` must lie in 0..mode_cutoff and the
+    direction ``i`` in 1..D-2.
     """
     params.validate()
     if d_tau <= 0:
@@ -158,16 +160,12 @@ def simulate(
     if steps % record_stride != 0:
         raise ValidationError("record_stride must divide steps")
     mode_state = _resolve_state(params, state, n, i)
-    if nu is None:
-        nu = mode_state.nu
-    elif nu < 0:
-        raise ValidationError(f"nu must be >= 0, got {nu}")
 
     draw_initial = _initial_sampler(mode_state, init)
     nodes = mode_state.nodes()
     n_recorded = steps // record_stride + 1
     samples = np.empty((count, n_recorded), dtype=float)
-    noise_scale = math.sqrt(2.0 * nu * d_tau)
+    noise_scale = math.sqrt(2.0 * mode_state.nu * d_tau)
     clamp_events = 0
     node_crossings = 0
     rng = np.random.Generator(np.random.Philox())
@@ -209,7 +207,6 @@ def simulate(
         state=mode_state,
         mode=n,
         direction=i,
-        seed=seed,
         d_tau=d_tau,
         steps=steps,
         record_stride=record_stride,
@@ -334,32 +331,24 @@ def _conditional_rates(
 def transport_derivative_check(
     ensemble: Ensemble | Iterable[Ensemble],
     F: Callable[[np.ndarray], np.ndarray],
-    dF: Callable[[np.ndarray], np.ndarray] | None = None,
-    d2F: Callable[[np.ndarray], np.ndarray] | None = None,
-    probe: np.ndarray | None = None,
-    bin_half_width: float | None = None,
+    dF: Callable[[np.ndarray], np.ndarray],
+    d2F: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Max deviation of the empirical forward transport derivative.
 
     Compares the conditional forward difference estimate of D_plus F with
-    v_plus F' + nu F'' on a probe grid and returns the largest absolute
-    deviation. F' and F'' default to central differences of ``F``; the
-    probe defaults to 7 points on +-1.5 sigma, and bins to half the probe
-    spacing. Accepts one full-resolution ensemble or an iterable to pool;
-    the first ensemble fixes the reference state.
+    v_plus F' + nu F'' on 7 probe points spanning +-1.5 sigma (+-1.5 for
+    the zero mode), each bin half the probe spacing wide, and returns the
+    largest absolute deviation. ``dF`` and ``d2F`` are the exact
+    derivatives of ``F``. Accepts one full-resolution ensemble or an
+    iterable to pool; the first ensemble fixes the reference state.
     """
     lead, ensembles = _pool(ensemble)
-    if probe is None:
-        w = 1.5 * (lead.state.sigma if lead.mode >= 1 else 1.0)
-        probe = np.linspace(-w, w, 7)
-    if bin_half_width is None:
-        bin_half_width = 0.5 * (probe[1] - probe[0]) if len(probe) > 1 else 0.1
-    ((est, at, _),) = _conditional_rates(ensembles, F, probe, bin_half_width, 30)
-    h = 1.0e-5
-    dF_vals = dF(at) if dF else (F(at + h) - F(at - h)) / (2 * h)
-    d2F_vals = d2F(at) if d2F else (F(at + h) - 2 * F(at) + F(at - h)) / h**2
+    w = 1.5 * (lead.state.sigma if lead.mode >= 1 else 1.0)
+    probe = np.linspace(-w, w, 7)
+    ((est, at, _),) = _conditional_rates(ensembles, F, probe, 0.5 * (probe[1] - probe[0]), 30)
     drift, _ = lead.state.forward_drift_array(at)
-    analytic = drift * dF_vals + lead.state.nu * d2F_vals
+    analytic = drift * dF(at) + lead.state.nu * d2F(at)
     return float(np.max(np.abs(est - analytic)))
 
 

@@ -11,7 +11,6 @@ from stochastic_string.algebra.fock import (
     states_equal,
 )
 from stochastic_string.algebra.operators import (
-    ModeCutoffError,
     OperatorExpr,
     annihilation,
     commutator,
@@ -184,11 +183,6 @@ def test_scale_and_arithmetic():
     e = creation(1, 1).scale(Fraction(3, 2)) - creation(1, 1).scale(Fraction(3, 2))
     assert e.is_zero()
     assert (identity(2) + identity(-2)).is_zero()
-
-
-def test_mode_cutoff_enforced():
-    with pytest.raises(ModeCutoffError):
-        commutator(creation(5, 1), annihilation(5, 1), mode_cutoff=4)
 
 
 def test_normal_order_word_cache_consistency():

@@ -72,6 +72,25 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--direction", "99", "-M", "5", "--steps", "5"], "direction = 99"),
+    (["simulate", "--direction", "0", "-M", "5", "--steps", "5"], "direction = 0"),
+    (["simulate", "--n", "9", "-M", "5", "--steps", "5"], "n = 9"),
+    (["simulate", "--n", "0", "--k", "1", "--init", "0.5", "-M", "5", "--steps", "5"], "k = 1"),
+    (["correlate", "--n", "9", "--direction", "40", "--d-tau", "0.01", "--dtau-lag", "0.01",
+      "-M", "50"], "n = 9"),
+    (["madelung-check", "--n", "9", "--k", "1", "--points", "101"], "n = 9"),
+    (["madelung-check", "--k", "12", "--points", "101"], "points = 101"),
+], ids=[
+    "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
+    "correlate-n-9", "madelung-n-9", "madelung-k12-points-101",
+])
+def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
+    code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
+
+
 def test_anomaly_command(tmp_path, capsys):
     code = run([
         "anomaly", "--dims", "26", "--intercept", "1", "--m", "1",
@@ -135,7 +154,7 @@ def test_algebra_consistency_failure_exit_code(tmp_path, capsys, monkeypatch):
     from stochastic_string.algebra.scalars import ONE
 
     # equal, not opposite, coefficients on ad_{m,1} a_{m,2} and its partner
-    def not_antisymmetric(A, B, mode_cutoff=None, words=()):
+    def not_antisymmetric(A, B, words=()):
         return OperatorExpr({w: ONE for w in words})
 
     monkeypatch.setattr(lorentz, "commutator", not_antisymmetric)

@@ -45,12 +45,6 @@ def test_validate_degenerate_dims():
     assert errors and "dims" in errors[0]
 
 
-def test_mode_state_level():
-    state = ModeStateSpec(occupations={(1, 1): 2, (3, 4): 1})
-    assert state.level() == 5
-    assert ModeStateSpec().level() == 0
-
-
 def test_mode_state_validation(params):
     ModeStateSpec(occupations={(2, 3): 1}).validate(params)
     with pytest.raises(ValidationError):
