@@ -7,7 +7,9 @@ so runs are bit-identical regardless of chunking or execution order. One
 ``Generator`` serves a whole ``simulate`` call: before each trajectory its
 bit generator is re-keyed in place, which yields exactly the draws of a
 freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
-building one per trajectory.
+building one per trajectory. An observer passed to ``simulate`` sees the
+amplitudes after every step, so a check such as ``RateBins`` can bin a
+run without storing it.
 """
 
 from __future__ import annotations
@@ -24,11 +26,20 @@ from .core import ModeStateSpec, StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 InitSampler = Callable[[np.random.Generator, int], np.ndarray]
+# (t, column): the amplitudes of one trajectory chunk after t Euler steps
+Observer = Callable[[int, np.ndarray], None]
 
 _CHUNK = 4096
 # float64 noise values drawn ahead per trajectory chunk (32 MiB), so the
 # buffer stays bounded however large ``steps`` is
 _NOISE_VALUES = 2**22
+# recorded columns transposed at a time when a stored ensemble is replayed
+_REPLAY_COLUMNS = 64
+
+
+def _chunk_size(steps: int) -> int:
+    """Trajectories per chunk: at most ``_CHUNK``, noise at most ``_NOISE_VALUES``."""
+    return min(_CHUNK, max(1, _NOISE_VALUES // steps))
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -136,6 +147,7 @@ def simulate(
     seed: int = 0,
     record_stride: int = 1,
     drift_cap: float = 1.0e6,
+    observe: Observer | None = None,
 ) -> Ensemble:
     """Euler-Maruyama ensemble for mode ``n``, transverse direction ``i``.
 
@@ -147,6 +159,13 @@ def simulate(
     chunk boundaries. The noise scale is the mode's diffusion constant
     nu_n, fixed by alpha'. Mode ``n`` must lie in 0..mode_cutoff and the
     direction ``i`` in 1..D-2.
+
+    Only every ``record_stride``-th step is stored. ``observe``, if given,
+    is called as ``observe(t, column)`` with every full-resolution column
+    of each trajectory chunk, t = 0..steps, whatever ``record_stride`` is;
+    a column is never modified after the call. With ``record_stride =
+    steps`` and an observer, memory is bounded by ``count`` however large
+    ``steps`` is.
     """
     params.validate()
     if d_tau <= 0:
@@ -170,11 +189,13 @@ def simulate(
     node_crossings = 0
     rng = np.random.Generator(np.random.Philox())
 
-    chunk = min(_CHUNK, max(1, _NOISE_VALUES // steps))
+    chunk = _chunk_size(steps)
+    # one noise buffer for every chunk: allocated and paged in once per call
+    noise_buffer = np.empty(min(chunk, count) * steps)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         block = stop - start
-        noise = np.empty((block, steps))
+        noise = noise_buffer[: block * steps].reshape(block, steps)
         q0 = np.empty(block)
         for j in range(block):
             _rekey(rng, seed, start + j)
@@ -183,6 +204,8 @@ def simulate(
         _check_initial_drift(nodes, q0, start)
         q = q0
         samples[start:stop, 0] = q
+        if observe is not None:
+            observe(0, q)
         if nodes.size:
             domain = np.searchsorted(nodes, q)
         # finiteness is checked explicitly each step; let overflows reach it
@@ -201,6 +224,8 @@ def simulate(
                     domain = next_domain
                 if (t + 1) % record_stride == 0:
                     samples[start:stop, (t + 1) // record_stride] = q
+                if observe is not None:
+                    observe(t + 1, q)
 
     return Ensemble(
         params=params,
@@ -272,6 +297,81 @@ def _pool(ensemble: Ensemble | Iterable[Ensemble]) -> tuple[Ensemble, Iterator[E
     return lead, itertools.chain([lead], it)
 
 
+class RateBins:
+    """Conditional transport rates of ``F`` on a probe, binned one column at a time.
+
+    An observer for ``simulate``: ``bins(t, column)`` takes the amplitudes
+    of one trajectory chunk after t steps of ``d_tau``, t = 0, 1, ...
+    Forward: E[(F(q_{t+1}) - F(q_t)) / d_tau | q_t in bin].
+    Backward (if asked): E[(F(q_t) - F(q_{t-1})) / d_tau | q_t in bin].
+    Each column is binned once and ``F`` evaluated once on it: its bin
+    index conditions the forward rate of the step leaving it and the
+    backward rate of the step entering it. Bin j holds the samples within
+    ``bin_half_width`` of ``probe[j]``, the higher one where two overlap.
+    Samples outside every bin, or with a non-finite rate, go to the
+    overflow bin ``len(probe)``, dropped at the end.
+    """
+
+    def __init__(self, F, probe: np.ndarray, bin_half_width: float, d_tau: float,
+                 backward: bool = False):
+        n = len(probe)
+        self.F = F
+        self.d_tau = d_tau
+        self.bin_half_width = bin_half_width
+        self.edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
+        # bin indices -1 and n both read an infinite centre: never within reach
+        self.centres = np.append(probe, np.inf)
+        directions = 2 if backward else 1
+        self.rate_sums = np.zeros((directions, n))
+        self.pos_sums = np.zeros((directions, n))
+        self.counts = np.zeros((directions, n), dtype=np.int64)
+
+    def __call__(self, t: int, col: np.ndarray) -> None:
+        n = len(self.centres) - 1
+        idx = np.searchsorted(self.edges, col, side="right") - 1
+        bins = np.where(np.abs(col - self.centres[idx]) <= self.bin_half_width, idx, n)
+        values = self.F(col)
+        if t:
+            last_col, last_bins, last_values = self._last
+            rate = (values - last_values) / self.d_tau
+            conditions = ((last_col, last_bins), (col, bins))[: len(self.counts)]
+            finite = np.isfinite(rate)
+            if not finite.all():
+                conditions = [(cond, np.where(finite, b, n)) for cond, b in conditions]
+            for d, (cond, cond_bins) in enumerate(conditions):
+                self.rate_sums[d] += np.bincount(cond_bins, weights=rate, minlength=n + 1)[:n]
+                self.pos_sums[d] += np.bincount(cond_bins, weights=cond, minlength=n + 1)[:n]
+                self.counts[d] += np.bincount(cond_bins, minlength=n + 1)[:n]
+        self._last = col, bins, values
+
+    def replay(self, ensemble: Ensemble) -> None:
+        """Feed a stored full-resolution ensemble through the observer.
+
+        Trajectories go in the chunks ``simulate`` runs, so the sums are
+        bit-identical to binning the same run streamed. Each chunk is read
+        ``_REPLAY_COLUMNS`` columns at a time through one transposed copy,
+        so every column handed on is contiguous.
+        """
+        if ensemble.record_stride != 1:
+            raise ValidationError("transport derivatives need record_stride == 1")
+        self.d_tau = ensemble.d_tau
+        samples = ensemble.samples
+        chunk = _chunk_size(ensemble.steps)
+        for start in range(0, ensemble.count, chunk):
+            for t0 in range(0, samples.shape[1], _REPLAY_COLUMNS):
+                group = samples[start : start + chunk, t0 : t0 + _REPLAY_COLUMNS].T.copy()
+                for t, col in enumerate(group, t0):
+                    self(t, col)
+
+    def rates(self, min_occupancy: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per direction (rates, bin means, counts); every bin needs ``min_occupancy``."""
+        if np.any(self.counts < min_occupancy):
+            raise InsufficientSamplesError(
+                f"probe bin occupancy {int(self.counts.min())} below required {min_occupancy}"
+            )
+        return [(r / c, x / c, c) for r, x, c in zip(self.rate_sums, self.pos_sums, self.counts)]
+
+
 def _conditional_rates(
     ensembles: Iterable[Ensemble],
     F: Callable[[np.ndarray], np.ndarray],
@@ -280,52 +380,50 @@ def _conditional_rates(
     min_occupancy: int,
     backward: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Binned transport rates of ``F``: forward, then backward if asked.
+    """Binned transport rates of ``F`` over a pool: forward, then backward if asked.
 
-    Forward: E[(F(q_{t+1}) - F(q_t)) / d_tau | q_t in bin].
-    Backward: E[(F(q_t) - F(q_{t-1})) / d_tau | q_t in bin].
     Returns per direction (rates, bin means, counts); comparing analytics
     at the empirical bin means removes the first-order binning skew under
-    a sloped density. One pass over an iterable of ensembles, column by
-    column, so full trajectories never need flattening and ensembles may
-    come from a generator. Each column is binned once: its bin index
-    conditions the forward rate of the step leaving it and the backward
-    rate of the step entering it. Samples outside every bin, or with a
-    non-finite rate, go to the overflow bin ``len(probe)``, dropped at
-    the end.
+    a sloped density. Each stored ensemble is replayed through one
+    ``RateBins`` observer, so ensembles may come from a generator. The
+    sums run chunk by chunk and, within a chunk, column by column, as in
+    a run streamed through ``simulate``.
     """
-    n = len(probe)
-    edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
-    # bin indices -1 and n both read an infinite centre: never within reach
-    centres = np.append(probe, np.inf)
-    directions = 2 if backward else 1
-    rate_sums = np.zeros((directions, n))
-    pos_sums = np.zeros((directions, n))
-    counts = np.zeros((directions, n), dtype=np.int64)
+    # each replay sets the step of its own ensemble
+    bins = RateBins(F, probe, bin_half_width, math.nan, backward)
     for ens in ensembles:
-        if ens.record_stride != 1:
-            raise ValidationError("transport derivatives need record_stride == 1")
-        for t in range(ens.samples.shape[1]):
-            col = ens.samples[:, t]
-            idx = np.searchsorted(edges, col, side="right") - 1
-            bins = np.where(np.abs(col - centres[idx]) <= bin_half_width, idx, n)
-            values = F(col)
-            if t:
-                rate = (values - last_values) / ens.d_tau
-                conditions = ((last_col, last_bins), (col, bins))[:directions]
-                finite = np.isfinite(rate)
-                if not finite.all():
-                    conditions = [(cond, np.where(finite, b, n)) for cond, b in conditions]
-                for d, (cond, cond_bins) in enumerate(conditions):
-                    rate_sums[d] += np.bincount(cond_bins, weights=rate, minlength=n + 1)[:n]
-                    pos_sums[d] += np.bincount(cond_bins, weights=cond, minlength=n + 1)[:n]
-                    counts[d] += np.bincount(cond_bins, minlength=n + 1)[:n]
-            last_col, last_bins, last_values = col, bins, values
-    if np.any(counts < min_occupancy):
-        raise InsufficientSamplesError(
-            f"probe bin occupancy {int(counts.min())} below required {min_occupancy}"
-        )
-    return [(r / c, x / c, c) for r, x, c in zip(rate_sums, pos_sums, counts)]
+        bins.replay(ens)
+    return bins.rates(min_occupancy)
+
+
+def transport_bins(
+    state: StationaryModeState, F: Callable[[np.ndarray], np.ndarray], d_tau: float
+) -> RateBins:
+    """Forward-rate bins of ``F`` on the transport probe of ``state``.
+
+    7 probe points span +-1.5 sigma (+-1.5 for the zero mode); each bin is
+    half the probe spacing wide.
+    """
+    w = 1.5 * (state.sigma if state.n >= 1 else 1.0)
+    probe = np.linspace(-w, w, 7)
+    return RateBins(F, probe, 0.5 * (probe[1] - probe[0]), d_tau)
+
+
+def transport_deviation(
+    bins: RateBins,
+    state: StationaryModeState,
+    dF: Callable[[np.ndarray], np.ndarray],
+    d2F: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """Largest |binned D_plus F - (v_plus F' + nu F'')| at the bin means.
+
+    ``dF`` and ``d2F`` are the exact derivatives of the binned ``F``.
+    Every probe bin must hold at least 30 samples.
+    """
+    ((est, at, _),) = bins.rates(30)
+    drift, _ = state.forward_drift_array(at)
+    analytic = drift * dF(at) + state.nu * d2F(at)
+    return float(np.max(np.abs(est - analytic)))
 
 
 def transport_derivative_check(
@@ -337,19 +435,19 @@ def transport_derivative_check(
     """Max deviation of the empirical forward transport derivative.
 
     Compares the conditional forward difference estimate of D_plus F with
-    v_plus F' + nu F'' on 7 probe points spanning +-1.5 sigma (+-1.5 for
-    the zero mode), each bin half the probe spacing wide, and returns the
-    largest absolute deviation. ``dF`` and ``d2F`` are the exact
-    derivatives of ``F``. Accepts one full-resolution ensemble or an
-    iterable to pool; the first ensemble fixes the reference state.
+    v_plus F' + nu F'' on the probe of ``transport_bins`` and returns the
+    largest absolute deviation (``transport_deviation``). ``dF`` and
+    ``d2F`` are the exact derivatives of ``F``. Accepts one
+    full-resolution ensemble or an iterable to pool; the first ensemble
+    fixes the reference state. Streaming ``transport_bins`` through
+    ``simulate(observe=...)`` gives the same value bit for bit without
+    storing the ensemble.
     """
     lead, ensembles = _pool(ensemble)
-    w = 1.5 * (lead.state.sigma if lead.mode >= 1 else 1.0)
-    probe = np.linspace(-w, w, 7)
-    ((est, at, _),) = _conditional_rates(ensembles, F, probe, 0.5 * (probe[1] - probe[0]), 30)
-    drift, _ = lead.state.forward_drift_array(at)
-    analytic = drift * dF(at) + lead.state.nu * d2F(at)
-    return float(np.max(np.abs(est - analytic)))
+    bins = transport_bins(lead.state, F, lead.d_tau)
+    for ens in ensembles:
+        bins.replay(ens)
+    return transport_deviation(bins, lead.state, dF, d2F)
 
 
 def second_law_check(

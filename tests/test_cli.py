@@ -1,4 +1,5 @@
 import argparse
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -81,9 +82,12 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
       "-M", "50"], "n = 9"),
     (["madelung-check", "--n", "9", "--k", "1", "--points", "101"], "n = 9"),
     (["madelung-check", "--k", "12", "--points", "101"], "points = 101"),
+    (["simulate", "--n", "1", "--momentum", "0.3", "-M", "5", "--steps", "5"], "momentum = 0.3"),
+    (["transport-check", "--n", "0", "-M", "5", "--steps", "5"], "n >= 1"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
-    "correlate-n-9", "madelung-n-9", "madelung-k12-points-101",
+    "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
+    "transport-n0",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -359,3 +363,24 @@ def test_transport_check_runs(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "transport.txt" in capsys.readouterr().out
+
+
+def test_transport_check_memory_independent_of_steps(tmp_path, monkeypatch):
+    from stochastic_string import sde
+
+    # a small noise buffer, so the ensemble would dominate if it were stored
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 2**19)
+    peaks = []
+    for steps in (400, 3200):
+        tracemalloc.start()
+        try:
+            code = run([
+                "transport-check", "--n", "1", "-M", "2000", "--steps", str(steps),
+                "--out", str(tmp_path), "--no-timestamp",
+            ])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    # a stored (2000, steps + 1) ensemble would add 45 MB at 3200 steps
+    assert abs(peaks[1] - peaks[0]) < 1e6

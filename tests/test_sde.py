@@ -399,3 +399,70 @@ def test_simulate_validation(params, ground_spec):
         simulate(params, ground_spec, 0, 1, init="stationary", d_tau=0.1, steps=5, count=5, seed=0)
     with pytest.raises(ValidationError):
         simulate(params, ground_spec, 1, 1, init="bogus", d_tau=0.1, steps=5, count=5, seed=0)
+
+
+def _sums(bins):
+    return bins.rate_sums, bins.pos_sums, bins.counts
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "both"])
+@pytest.mark.parametrize("F", [lambda x: x, lambda x: x**2], ids=["x", "x2"])
+def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, backward):
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 150 * 40)  # chunks of 150, 150, 150, 50
+    kwargs = dict(d_tau=1e-3, steps=40, count=500, seed=23)
+    probe = np.linspace(-1.5, 1.5, 7)
+    streamed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
+    simulate(params, ground_spec, 1, 1, record_stride=40, observe=streamed, **kwargs)
+    ens = simulate(params, ground_spec, 1, 1, **kwargs)
+    replayed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
+    replayed.replay(ens)
+    for a, b in zip(_sums(streamed), _sums(replayed)):
+        assert np.array_equal(a, b)
+    assert streamed.counts.sum() > 0
+    pooled = sde._conditional_rates([ens], F, probe, 0.25, 1, backward)
+    for got, expected in zip(pooled, streamed.rates(1)):
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 700 * 30)  # chunks of 700, 700, 600
+    kwargs = dict(d_tau=1e-3, steps=30, count=2000, seed=24)
+    state = sde._resolve_state(params, ground_spec, 1, 1)
+    bins = sde.transport_bins(state, lambda x: x, 1e-3)
+    simulate(params, ground_spec, 1, 1, record_stride=30, observe=bins, **kwargs)
+    streamed = sde.transport_deviation(bins, state, np.ones_like, np.zeros_like)
+    ens = simulate(params, ground_spec, 1, 1, **kwargs)
+    assert streamed == transport_derivative_check(ens, lambda x: x, np.ones_like, np.zeros_like)
+
+
+def test_observer_sees_every_step_of_each_chunk(params, ground_spec, monkeypatch):
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)  # chunks of 3, 3, 3, 1 trajectories
+    seen = []
+
+    def observe(t, col):
+        seen.append((t, col.copy()))
+
+    ens = simulate(
+        params, ground_spec, 1, 1, d_tau=1e-2, steps=12, count=10, seed=5,
+        record_stride=4, observe=observe,
+    )
+    assert [(t, len(col)) for t, col in seen] == [
+        (t, block) for block in (3, 3, 3, 1) for t in range(13)
+    ]
+    chunks = [np.column_stack([col for _, col in seen[i : i + 13]]) for i in range(0, 52, 13)]
+    assert np.array_equal(np.concatenate(chunks)[:, ::4], ens.samples)
+
+
+@pytest.mark.parametrize(
+    "spec", [ModeStateSpec(), ModeStateSpec(occupations={(1, 1): 1})], ids=["k0", "k1"]
+)
+def test_observer_leaves_run_unchanged(params, monkeypatch, spec):
+    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3, drift_cap=0.5)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)
+    plain = simulate(params, spec, 1, 1, **kwargs)
+    observed = simulate(params, spec, 1, 1, observe=lambda t, col: None, **kwargs)
+    assert plain.clamp_events > 0
+    assert np.array_equal(observed.samples, plain.samples)
+    assert observed.clamp_events == plain.clamp_events
+    assert observed.node_crossings == plain.node_crossings
