@@ -187,7 +187,7 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
     if cfg.record_stride < 1:
         raise ValidationError(f"record_stride must be >= 1, got {cfg.record_stride}")
     state = ModeStateSpec()
-    lag_steps = round(cfg.dtau_lag / (cfg.d_tau * cfg.record_stride))
+    lag_steps = observables.recorded_lag(cfg.dtau_lag, cfg.d_tau * cfg.record_stride)
     steps = max(2 * lag_steps, lag_steps + round(1.0 / (cfg.d_tau * cfg.record_stride)))
     steps = max(steps * cfg.record_stride, cfg.record_stride)
     ensemble = sde.simulate(
@@ -235,7 +235,7 @@ def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
     mode_state = sde._resolve_state(params, _mode_state_spec(cfg, params), cfg.n, cfg.direction)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     energy = mode_state.energy() + cfg.energy_offset
-    result = fpe.madelung_residual(field, params, mode_state, energy=energy, detail=True)
+    result = fpe.madelung_residual(field, params, mode_state, energy=energy)
     continuity = fpe.continuity_residual(field, params, cfg.n)
     body = [
         f"madelung_residual = {result.max_residual!r}",

@@ -193,8 +193,7 @@ def madelung_residual(
     params: StringParams,
     state: StationaryModeState,
     energy: float | None = None,
-    detail: bool = False,
-):
+) -> MadelungResult:
     """Residual of the single-mode Madelung equation on the interior grid.
 
     With R = log(rho)/2 and a stationary phase d_tau S = -E, the equation
@@ -232,12 +231,11 @@ def madelung_residual(
     keep = (field.rho[1:-1] > 1.0e-200) & _off_node_windows(field, state)
     finite_excluded = residual[~keep]
     finite_excluded = finite_excluded[np.isfinite(finite_excluded)]
-    result = MadelungResult(
+    return MadelungResult(
         max_residual=float(np.max(residual[keep])),
         node_window_residual=float(finite_excluded.max()) if finite_excluded.size else 0.0,
         excluded_points=int(np.count_nonzero(~keep)),
     )
-    return result if detail else result.max_residual
 
 
 def eigen_residual(

@@ -61,6 +61,20 @@ def mode_correlator(ensemble: Ensemble, t: int, t_prime: int) -> CorrelatorEstim
     return CorrelatorEstimate(ensemble.mode, lag, value, se)
 
 
+def recorded_lag(delta_tau: float, spacing: float) -> int:
+    """Recorded columns spanning the lag ``delta_tau``, ``spacing`` apart.
+
+    The lag must be a non-negative whole multiple of the spacing, to 1e-9.
+    """
+    if 0 <= delta_tau < math.inf:
+        lag_steps = round(delta_tau / spacing)
+        if abs(lag_steps * spacing - delta_tau) <= 1.0e-9:
+            return lag_steps
+    raise ValidationError(
+        f"dtau_lag = {delta_tau} must be a non-negative multiple of the recorded spacing {spacing}"
+    )
+
+
 def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
     """Stationarity-averaged correlator at a fixed recorded lag.
 
@@ -133,13 +147,7 @@ def summed_correlator(
     total = 0.0
     variance = 0.0
     for ens in seen.values():
-        stride_tau = ens.d_tau * ens.record_stride
-        lag_steps = round(delta_tau / stride_tau)
-        if abs(lag_steps * stride_tau - delta_tau) > 1.0e-9:
-            raise ValidationError(
-                f"lag {delta_tau} is not a multiple of the recorded spacing {stride_tau}"
-            )
-        est = correlator_at_lag(ens, lag_steps)
+        est = correlator_at_lag(ens, recorded_lag(delta_tau, ens.d_tau * ens.record_stride))
         total += est.value
         variance += est.standard_error**2
     return total, math.sqrt(variance)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -264,6 +264,10 @@ def _initial_sampler(
 
 
 def _check_initial_drift(nodes: np.ndarray, q0: np.ndarray, offset: int) -> None:
+    bad = ~np.isfinite(q0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValidationError(f"init gives non-finite q_0={q0[j]}, trajectory {offset + j}")
     on_node = np.isin(q0, nodes)
     if on_node.any():
         j = int(np.argmax(on_node))
@@ -286,15 +290,6 @@ def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:
         raise ValidationError(f"step {t} out of range 0..{ensemble.recorded_steps - 1}")
     dq = ensemble.samples[:, t + 1] - ensemble.samples[:, t]
     return float(dq.mean()), float(dq.var(ddof=1))
-
-
-def _pool(ensemble: Ensemble | Iterable[Ensemble]) -> tuple[Ensemble, Iterator[Ensemble]]:
-    """The first ensemble of a pool and an iterator over the whole pool."""
-    it = iter([ensemble] if isinstance(ensemble, Ensemble) else ensemble)
-    lead = next(it, None)
-    if lead is None:
-        raise InsufficientSamplesError("empty ensemble")
-    return lead, itertools.chain([lead], it)
 
 
 class RateBins:
@@ -345,7 +340,7 @@ class RateBins:
         self._last = col, bins, values
 
     def replay(self, ensemble: Ensemble) -> None:
-        """Feed a stored full-resolution ensemble through the observer.
+        """Feed a stored full-resolution ensemble, run at ``d_tau``, through the observer.
 
         Trajectories go in the chunks ``simulate`` runs, so the sums are
         bit-identical to binning the same run streamed. Each chunk is read
@@ -354,7 +349,10 @@ class RateBins:
         """
         if ensemble.record_stride != 1:
             raise ValidationError("transport derivatives need record_stride == 1")
-        self.d_tau = ensemble.d_tau
+        if ensemble.d_tau != self.d_tau:
+            raise ValidationError(
+                f"ensemble d_tau = {ensemble.d_tau} differs from the bins' d_tau = {self.d_tau}"
+            )
         samples = ensemble.samples
         chunk = _chunk_size(ensemble.steps)
         for start in range(0, ensemble.count, chunk):
@@ -364,36 +362,16 @@ class RateBins:
                     self(t, col)
 
     def rates(self, min_occupancy: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per direction (rates, bin means, counts); every bin needs ``min_occupancy``."""
+        """Per direction (rates, bin means, counts); every bin needs ``min_occupancy``.
+
+        Comparing analytics at the bin means rather than the probe points
+        removes the first-order binning skew under a sloped density.
+        """
         if np.any(self.counts < min_occupancy):
             raise InsufficientSamplesError(
                 f"probe bin occupancy {int(self.counts.min())} below required {min_occupancy}"
             )
         return [(r / c, x / c, c) for r, x, c in zip(self.rate_sums, self.pos_sums, self.counts)]
-
-
-def _conditional_rates(
-    ensembles: Iterable[Ensemble],
-    F: Callable[[np.ndarray], np.ndarray],
-    probe: np.ndarray,
-    bin_half_width: float,
-    min_occupancy: int,
-    backward: bool = False,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Binned transport rates of ``F`` over a pool: forward, then backward if asked.
-
-    Returns per direction (rates, bin means, counts); comparing analytics
-    at the empirical bin means removes the first-order binning skew under
-    a sloped density. Each stored ensemble is replayed through one
-    ``RateBins`` observer, so ensembles may come from a generator. The
-    sums run chunk by chunk and, within a chunk, column by column, as in
-    a run streamed through ``simulate``.
-    """
-    # each replay sets the step of its own ensemble
-    bins = RateBins(F, probe, bin_half_width, math.nan, backward)
-    for ens in ensembles:
-        bins.replay(ens)
-    return bins.rates(min_occupancy)
 
 
 def transport_bins(
@@ -427,62 +405,70 @@ def transport_deviation(
 
 
 def transport_derivative_check(
-    ensemble: Ensemble | Iterable[Ensemble],
+    ensemble: Ensemble,
     F: Callable[[np.ndarray], np.ndarray],
     dF: Callable[[np.ndarray], np.ndarray],
     d2F: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """Max deviation of the empirical forward transport derivative.
+    """Max deviation of the empirical forward transport derivative of a stored run.
 
-    Compares the conditional forward difference estimate of D_plus F with
-    v_plus F' + nu F'' on the probe of ``transport_bins`` and returns the
-    largest absolute deviation (``transport_deviation``). ``dF`` and
-    ``d2F`` are the exact derivatives of ``F``. Accepts one
-    full-resolution ensemble or an iterable to pool; the first ensemble
-    fixes the reference state. Streaming ``transport_bins`` through
-    ``simulate(observe=...)`` gives the same value bit for bit without
-    storing the ensemble.
+    Replays one full-resolution ensemble through ``transport_bins`` and
+    returns ``transport_deviation``: the largest absolute deviation of the
+    conditional forward difference estimate of D_plus F from
+    v_plus F' + nu F''. ``dF`` and ``d2F`` are the exact derivatives of
+    ``F``. Streaming ``transport_bins`` through ``simulate(observe=...)``
+    gives the same value bit for bit without storing the ensemble.
     """
-    lead, ensembles = _pool(ensemble)
-    bins = transport_bins(lead.state, F, lead.d_tau)
-    for ens in ensembles:
-        bins.replay(ens)
-    return transport_deviation(bins, lead.state, dF, d2F)
+    bins = transport_bins(ensemble.state, F, ensemble.d_tau)
+    bins.replay(ensemble)
+    return transport_deviation(bins, ensemble.state, dF, d2F)
+
+
+def _second_law_probe(state: StationaryModeState) -> np.ndarray:
+    """Points +-0.4..2 sigma where the stochastic acceleration is compared."""
+    if state.n < 1:
+        raise ValidationError("stochastic acceleration check targets n >= 1 modes")
+    return np.concatenate((np.linspace(-2, -0.4, 5), np.linspace(0.4, 2, 5))) * state.sigma
+
+
+def second_law_bins(state: StationaryModeState, d_tau: float) -> RateBins:
+    """Forward and backward rate bins of q for ``second_law_check``.
+
+    21 bins, 0.15 sigma half-wide, on a fit grid 1.2 times as wide as
+    the probe of the check, so every probe point sits in the
+    well-constrained interior of the polynomial fits. Fill them by
+    streaming one or more runs of ``state`` at step ``d_tau`` through
+    ``simulate(observe=...)``.
+    """
+    probe = _second_law_probe(state)
+    fit_grid = np.linspace(1.2 * probe.min(), 1.2 * probe.max(), 21)
+    return RateBins(lambda x: x, fit_grid, 0.15 * state.sigma, d_tau, backward=True)
 
 
 def second_law_check(
-    ensemble: Ensemble | Iterable[Ensemble],
+    bins: RateBins, state: StationaryModeState
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Empirical mean stochastic acceleration (D+D- + D-D+)q / 2.
 
-    The forward and backward velocities v_+(x), v_-(x) are estimated from
-    conditional increment rates and smoothed by cubic fits; the outer
+    The forward and backward velocities v_+(x), v_-(x) are the conditional
+    increment rates in ``bins`` (from ``second_law_bins``, every bin
+    holding at least 200 samples), smoothed by cubic fits; the outer
     transport derivatives then follow from their defining form
     D_(+/-) G = v_(+/-) G' +/- nu G'' with the engine's known diffusion
     constant. Returns (max relative deviation from -n^2 x, probe grid,
-    acceleration estimates). Accepts one ensemble or an iterable to pool
-    (a generator keeps only one in memory at a time).
+    acceleration estimates). Memory is that of the bins, however many
+    runs filled them.
     """
-    lead, ensembles = _pool(ensemble)
-    if lead.mode < 1:
-        raise ValidationError("stochastic acceleration check targets n >= 1 modes")
-    sigma = lead.state.sigma
-    probe = np.concatenate((np.linspace(-2, -0.4, 5), np.linspace(0.4, 2, 5))) * sigma
-
-    # fit window extends past the probe so every probe point sits in the
-    # well-constrained interior of the polynomial fits
-    fit_grid = np.linspace(1.2 * probe.min(), 1.2 * probe.max(), 21)
+    probe = _second_law_probe(state)
     v_plus, v_minus = (
         np.polynomial.Polynomial.fit(at, rates, 3, w=np.sqrt(counts))
-        for rates, at, counts in _conditional_rates(
-            ensembles, lambda x: x, fit_grid, 0.15 * sigma, 200, backward=True
-        )
+        for rates, at, counts in bins.rates(200)
     )
-    nu = lead.state.nu
+    nu = state.nu
     d_plus_of_vminus = v_plus(probe) * v_minus.deriv()(probe) + nu * v_minus.deriv(2)(probe)
     d_minus_of_vplus = v_minus(probe) * v_plus.deriv()(probe) - nu * v_plus.deriv(2)(probe)
     acceleration = 0.5 * (d_plus_of_vminus + d_minus_of_vplus)
-    expected = -lead.mode**2 * probe
+    expected = -state.n**2 * probe
     deviation = float(np.max(np.abs(acceleration - expected) / np.abs(expected)))
     return deviation, probe, acceleration
 

@@ -1,16 +1,23 @@
 """Every function the traced benchmark wraps still exists on the package.
 
 ``bench/spans.py`` wraps public functions and methods by name; deleting or
-renaming one of them would break the traced benchmark run. The module is
-loaded read-only here: its targets are resolved the way ``install`` resolves
-them, and nothing is wrapped.
+renaming one of them would break the traced benchmark run. Some targets
+also count work read from their arguments or results, so a change to what a
+target takes or returns would break the count. The module is loaded
+read-only here: its targets are resolved the way ``install`` resolves them,
+each counter is evaluated on one small real call, and nothing is wrapped.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stochastic_string import fpe, sde
+from stochastic_string.core import ModeStateSpec, StringParams
+from stochastic_string.drift import StationaryModeState
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -38,3 +45,49 @@ def test_traced_target_resolves(module_name, attr):
         assert callable(vars(getattr(module, cls_name)).get(method))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def _small_call(name, tmp_path):
+    """One small call of a counted target as the package makes it: its
+    positional and keyword arguments, and the counts it should report once
+    it has run."""
+    params = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6)
+    spec = ModeStateSpec()
+    if name == "drift.StationaryModeState.forward_drift_array":
+        args = (StationaryModeState(params, 1, 0), np.linspace(-1.0, 1.0, 5))
+        return args, {}, lambda: {"drift.forward_drift_elems": 5}
+    if name == "sde.simulate":
+        kwargs = dict(d_tau=1e-3, steps=4, count=3, seed=1)
+        return (params, spec, 1, 1), kwargs, lambda: {"sde.sample_steps": 12, "drift.clamp_events": 0}
+    if name == "sde.export_ensemble":
+        path = tmp_path / "ensemble.txt"
+        ens = sde.simulate(params, spec, 1, 1, d_tau=1e-3, steps=4, count=3, seed=1)
+        return (ens, path), {}, lambda: {
+            "sde.export_rows": 15, "sde.export_bytes": path.stat().st_size,
+        }
+    if name == "sde.transport_derivative_check":
+        ens = sde.simulate(params, spec, 1, 1, d_tau=1e-3, steps=5, count=2000, seed=2)
+        args = (ens, lambda x: x, np.ones_like, np.zeros_like)
+        return args, {}, lambda: {"sde.binned_samples": 10_000}
+    if name == "fpe.evolve_fokker_planck":
+        state = StationaryModeState(params, 1, 0)
+        field = fpe.gaussian_field(-6.0, 6.0, 41, 0.0, 1.0)
+        drift = lambda x: state.forward_drift_array(x)[0]
+        return (field, drift, state.nu, 1e-3, 3), {}, lambda: {"fpe.cell_updates": 41 * 3}
+    raise KeyError(f"no small call for counted target {name}")
+
+
+_COUNTED = [target for target in spans.TARGETS if target[2] is not None]
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, counts", _COUNTED, ids=[f"{m}.{a}" for m, a, _ in _COUNTED]
+)
+def test_traced_counter_reads_its_target(tmp_path, module_name, attr, counts):
+    module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
+    target = module
+    for part in attr.split("."):
+        target = getattr(target, part)
+    args, kwargs, expected = _small_call(f"{module_name}.{attr}", tmp_path)
+    result = target(*args, **kwargs)
+    assert counts(args, kwargs, result) == expected()

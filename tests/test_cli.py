@@ -66,6 +66,9 @@ def test_every_run_config_field_is_settable():
     (["correlate", "--record-stride", "0"], "record_stride"),
     (["correlate", "--record-stride", "-1"], "record_stride"),
     (["correlate", "--d-tau", "0"], "d_tau"),
+    (["correlate", "--dtau-lag", "0.0004"], "dtau_lag"),
+    (["correlate", "--dtau-lag", "0.0015"], "dtau_lag"),
+    (["correlate", "--dtau-lag", "-1"], "dtau_lag"),
 ])
 def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "-M", "5", "--out", str(tmp_path), "--no-timestamp"])
@@ -84,10 +87,14 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     (["madelung-check", "--k", "12", "--points", "101"], "points = 101"),
     (["simulate", "--n", "1", "--momentum", "0.3", "-M", "5", "--steps", "5"], "momentum = 0.3"),
     (["transport-check", "--n", "0", "-M", "5", "--steps", "5"], "n >= 1"),
+    (["simulate", "--n", "0", "--init", "nan", "-M", "5", "--steps", "5"],
+     "init gives non-finite q_0=nan, trajectory 0"),
+    (["simulate", "--n", "0", "--init", "inf", "-M", "5", "--steps", "5"],
+     "init gives non-finite q_0=inf, trajectory 0"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
-    "transport-n0",
+    "transport-n0", "simulate-init-nan", "simulate-init-inf",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -368,19 +375,23 @@ def test_transport_check_runs(tmp_path, capsys):
 def test_transport_check_memory_independent_of_steps(tmp_path, monkeypatch):
     from stochastic_string import sde
 
-    # a small noise buffer, so the ensemble would dominate if it were stored
+    # a small noise buffer, so the ensemble would dominate if it were stored;
+    # each count exceeds the 1310 trajectories it holds at 400 steps, so the
+    # buffer is the same size at both step counts
     monkeypatch.setattr(sde, "_NOISE_VALUES", 2**19)
-    peaks = []
-    for steps in (400, 3200):
-        tracemalloc.start()
-        try:
-            code = run([
-                "transport-check", "--n", "1", "-M", "2000", "--steps", str(steps),
-                "--out", str(tmp_path), "--no-timestamp",
-            ])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-    # a stored (2000, steps + 1) ensemble would add 45 MB at 3200 steps
-    assert abs(peaks[1] - peaks[0]) < 1e6
+    for command, count in (("transport-check", "2000"), ("fpe-check", "1400")):
+        peaks = []
+        for steps in (400, 3200):
+            tracemalloc.start()
+            try:
+                code = run([
+                    command, "--n", "1", "-M", count, "--steps", str(steps),
+                    "--out", str(tmp_path), "--no-timestamp",
+                ])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        # a stored (count, steps + 1) ensemble would add 31 MB (fpe-check) or
+        # 45 MB (transport-check) at 3200 steps
+        assert abs(peaks[1] - peaks[0]) < 1e6, command

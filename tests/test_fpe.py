@@ -102,28 +102,28 @@ def test_continuity_residual_detects_perturbation(params):
 def test_madelung_residual_stationary_states(params, n, k):
     state = StationaryModeState(params, n, k)
     field = stationary_field(state, -6, 6, 2001)
-    assert madelung_residual(field, params, state) < 1e-3
+    assert madelung_residual(field, params, state).max_residual < 1e-3
 
 
 def test_madelung_residual_ground_state_tight(params):
     state = StationaryModeState(params, 1, 0)
     field = stationary_field(state, -6, 6, 2001)
-    assert madelung_residual(field, params, state) < 1e-4
+    assert madelung_residual(field, params, state).max_residual < 1e-4
 
 
 def test_madelung_wrong_energy_offset(params):
     state = StationaryModeState(params, 1, 0)
     field = stationary_field(state, -6, 6, 2001)
-    residual = madelung_residual(field, params, state, energy=state.energy() + 0.1)
+    residual = madelung_residual(field, params, state, energy=state.energy() + 0.1).max_residual
     assert residual == pytest.approx(0.1, abs=1e-3)
 
 
 def test_madelung_node_window_reported(params):
     state = StationaryModeState(params, 2, 1)
     field = stationary_field(state, -6, 6, 2001)
-    detail = madelung_residual(field, params, state, detail=True)
-    assert detail.excluded_points > 0
-    assert detail.max_residual < 1e-3
+    result = madelung_residual(field, params, state)
+    assert result.excluded_points > 0
+    assert result.max_residual < 1e-3
 
 
 def test_madelung_zero_mode_rejected(params):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stochastic_string.core import ModeStateSpec, ValidationError
+from stochastic_string.drift import StationaryModeState
 from stochastic_string import sde
 from stochastic_string.sde import (
     InsufficientSamplesError,
@@ -152,8 +154,8 @@ def test_transport_derivative_occupancy_guard(params, ground_spec):
 
 def _per_query_reference(ensembles, queries, probe, bin_half_width):
     """Binned rates with one searchsorted and masked bincounts per step and
-    per (F, forward) query: the arithmetic ``_conditional_rates`` must
-    reproduce bit for bit."""
+    per (F, forward) query: the arithmetic ``RateBins`` must reproduce bit
+    for bit."""
     n_probe = len(probe)
     edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
     sums = [np.zeros(n_probe) for _ in queries]
@@ -176,10 +178,11 @@ def _per_query_reference(ensembles, queries, probe, bin_half_width):
     return [(s / c, p / c, c) for s, p, c in zip(sums, pos_sums, counts)]
 
 
-def _pair(params, spec):
-    """Two small ground-state ensembles with different steps and d_tau."""
-    yield simulate(params, spec, 1, 1, d_tau=1e-3, steps=40, count=3000, seed=21)
-    yield simulate(params, spec, 1, 1, d_tau=2e-3, steps=30, count=2000, seed=22)
+# two small ground-state runs with different steps and d_tau
+_PAIR = (
+    dict(d_tau=1e-3, steps=40, count=3000, seed=21),
+    dict(d_tau=2e-3, steps=30, count=2000, seed=22),
+)
 
 
 def _inf_above(x):
@@ -202,32 +205,60 @@ def _inf_above(x):
     ids=["x-default-probe", "x2", "fit-grid-overlapping", "inf-part", "one-point", "gaps"],
 )
 def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, probe, w, backward):
-    calls = []
+    queries = [(F, True), (F, False)] if backward else [(F, True)]
+    for kwargs in _PAIR:
+        calls = []
 
-    def counted(x):
-        calls.append(len(x))
-        return F(x)
+        def counted(x):
+            calls.append(len(x))
+            return F(x)
 
-    with np.errstate(invalid="ignore"):
-        got = sde._conditional_rates(_pair(params, ground_spec), counted, probe, w, 1, backward)
-        queries = [(F, True), (F, False)] if backward else [(F, True)]
-        expected = _per_query_reference(_pair(params, ground_spec), queries, probe, w)
-    # one F call per recorded column of the pool
-    assert calls == [3000] * 41 + [2000] * 31
-    assert len(got) == len(expected)
-    for got_stats, expected_stats in zip(got, expected):
-        for a, b in zip(got_stats, expected_stats):
-            assert np.array_equal(a, b)
+        bins = sde.RateBins(counted, probe, w, kwargs["d_tau"], backward)
+        with np.errstate(invalid="ignore"):
+            ens = simulate(params, ground_spec, 1, 1, observe=bins, **kwargs)
+            expected = _per_query_reference([ens], queries, probe, w)
+        # one F call per column of the run
+        assert calls == [kwargs["count"]] * (kwargs["steps"] + 1)
+        got = bins.rates(1)
+        assert len(got) == len(expected)
+        for got_stats, expected_stats in zip(got, expected):
+            for a, b in zip(got_stats, expected_stats):
+                assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("check", ["transport", "second_law"])
-@pytest.mark.parametrize("empty", [list, lambda: iter([])], ids=["list", "generator"])
-def test_empty_pool_is_insufficient(check, empty):
-    with pytest.raises(InsufficientSamplesError, match="empty ensemble"):
-        if check == "transport":
-            transport_derivative_check(empty(), lambda x: x, np.ones_like, np.zeros_like)
-        else:
-            sde.second_law_check(empty())
+def test_second_law_guards(params, ground_spec):
+    zero_mode = StationaryModeState(params, 0, momentum=0.0)
+    with pytest.raises(ValidationError, match="n >= 1"):
+        sde.second_law_bins(zero_mode, 1e-3)
+    # 250 conditioned samples per direction on 21 fit-grid bins: each under 200
+    state = sde._resolve_state(params, ground_spec, 1, 1)
+    bins = sde.second_law_bins(state, 1e-3)
+    simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=5, count=50, seed=15,
+             record_stride=5, observe=bins)
+    with pytest.raises(InsufficientSamplesError, match="below required 200"):
+        sde.second_law_check(bins, state)
+
+
+def test_second_law_memory_independent_of_steps(params, ground_spec, monkeypatch):
+    # a small noise buffer, so the ensemble would dominate if it were stored;
+    # 330 trajectories exceed the 327 it holds at 400 steps, so the buffer is
+    # the same size at both step counts
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 2**17)
+    state = sde._resolve_state(params, ground_spec, 1, 1)
+    peaks = []
+    for steps in (400, 3200):
+        tracemalloc.start()
+        try:
+            bins = sde.second_law_bins(state, 1e-3)
+            simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=steps, count=330, seed=16,
+                     record_stride=steps, observe=bins)
+            deviation, _, _ = sde.second_law_check(bins, state)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(deviation)
+    # a stored (330, steps + 1) ensemble would add 7.4 MB at 3200 steps
+    assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 @pytest.mark.parametrize(
@@ -333,6 +364,15 @@ def test_start_on_node_names_first_trajectory(params):
     with pytest.raises(ValidationError, match=r"trajectory 2$"):
         simulate(params, excited, 1, 1, init=third_on_node, d_tau=1e-3, steps=2, count=5)
 
+    nan_draws = []
+
+    def second_nan(rng, size):
+        nan_draws.append(size)
+        return np.full(size, np.nan if len(nan_draws) == 2 else 0.5)
+
+    with pytest.raises(ValidationError, match=r"^init gives non-finite q_0=nan, trajectory 1$"):
+        simulate(params, excited, 1, 1, init=second_nan, d_tau=1e-3, steps=2, count=5)
+
 
 def test_non_finite_detection(params, ground_spec):
     with pytest.raises(sde.NonFiniteSampleError) as err:
@@ -419,10 +459,8 @@ def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, back
     for a, b in zip(_sums(streamed), _sums(replayed)):
         assert np.array_equal(a, b)
     assert streamed.counts.sum() > 0
-    pooled = sde._conditional_rates([ens], F, probe, 0.25, 1, backward)
-    for got, expected in zip(pooled, streamed.rates(1)):
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+    with pytest.raises(ValidationError, match="d_tau"):
+        sde.RateBins(F, probe, 0.25, 2e-3, backward).replay(ens)
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
