@@ -160,11 +160,11 @@ def apply_alpha_terms(
     return {k: v for k, v in out.items() if v[0] or v[1]}
 
 
-def substitute_alpha_terms(terms, intercept) -> list[tuple[GF, tuple]]:
-    """Fix the intercept symbol, reducing coefficients to Gaussian rationals."""
+def substitute_alpha_terms(terms) -> list[tuple[GF, tuple]]:
+    """Reduce radical-free coefficients to Gaussian rationals."""
     numeric = []
     for coeff, word in terms:
-        value = coeff.substitute_a(Fraction(intercept)).as_gaussian()
+        value = coeff.as_gaussian()
         if value[0] or value[1]:
             numeric.append((value, word))
     return numeric
@@ -197,7 +197,7 @@ def apply_expr(
 
 
 def lift_gaussian_state(state: dict[StateKey, GF]) -> dict[StateKey, Coeff]:
-    return {key: Coeff({(0, 1): amp}) for key, amp in state.items()}
+    return {key: Coeff({1: amp}) for key, amp in state.items()}
 
 
 def states_equal(a: dict[StateKey, Coeff], b: dict[StateKey, Coeff]) -> bool:

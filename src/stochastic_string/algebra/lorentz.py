@@ -8,13 +8,16 @@ x0^- p^i zero-mode term is omitted: it cannot be expressed with the
 transverse alphabet and contributes no pure-oscillator bilinear to the
 [M^{i-}, M^{j-}] commutator, so the anomaly extraction below is unaffected.
 
-The anomalous part of [M^{i-}, M^{j-}] is the bilinear
-(ad_{m,i} a_{m,j} - ad_{m,j} a_{m,i}) family; its coefficient Delta_m is an
-exact rational polynomial in the spacetime dimension D and the intercept
-symbol a. Internally the transverse trace is evaluated at several concrete
-direction counts and the (provably affine) dependence on D - 2 is
-reconstructed by exact interpolation, then cross-checked against a direct
-evaluation at the physical direction count.
+The intercept a enters only as M^{i-} = M0^{i-} + a X^i, with M0 built at
+a = 0 and X^i = -x^i / (2 alpha' p^+) from ``intercept_term``. As
+[X^1, X^2] = 0, the coefficient Delta_m of the anomalous bilinear
+(ad_{m,i} a_{m,j} - ad_{m,j} a_{m,i}) in [M^{1-}, M^{2-}] is that of
+[M0^1, M0^2] + a ([X^1, M0^2] + [M0^1, X^2]): affine in a by construction,
+and an exact rational polynomial in a and the spacetime dimension D.
+Internally the transverse trace is evaluated at several concrete direction
+counts and the (provably affine) dependence on D - 2 is reconstructed by
+exact interpolation, then cross-checked against a direct evaluation at the
+physical direction count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 from ..core import StringParams
 from .operators import OperatorExpr, commutator
-from .scalars import Coeff, ONE, PolyDA, solve_affine_system
+from .scalars import Coeff, ONE, PolyDA, exact_fraction, solve_affine_system
 
 AlphaTerm = tuple[Coeff, tuple]
 
@@ -41,8 +44,20 @@ class AlgebraConsistencyError(RuntimeError):
     """An exact identity of the light-cone algebra failed to hold."""
 
 
-def exact_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+# Coeff.sqrt(2 alpha') trial-divides numerator * denominator of 2 alpha';
+# up to this bound that takes well under a second
+_MAX_RADICAND = 10**12
+
+
+def _exact_params(params: StringParams) -> tuple[Fraction, Fraction]:
+    """Exact (alpha', p^+), with 2 alpha' short enough to factor quickly."""
+    ap, pp = exact_fraction(params.alpha_prime), exact_fraction(params.p_plus)
+    if (2 * ap).numerator * (2 * ap).denominator > _MAX_RADICAND:
+        raise ValueError(
+            f"alpha_prime = {params.alpha_prime} has too many digits for the exact "
+            f"sqrt(2 alpha'): numerator times denominator of 2 alpha' must be <= 10**12"
+        )
+    return ap, pp
 
 
 def virasoro_alpha_terms(
@@ -76,28 +91,27 @@ def virasoro_alpha_terms(
     return terms
 
 
+def intercept_term(i: int, alpha_prime: Fraction, p_plus: Fraction) -> AlphaTerm:
+    """X^i = -x^i / (2 alpha' p^+), the whole intercept dependence of M^{i-} / a."""
+    return Coeff.rational(Fraction(-1, 2) / (alpha_prime * p_plus)), (("x", i),)
+
+
 def m_minus_alpha_terms(
     i: int,
     transverse: int,
     n_max: int,
     alpha_prime: Fraction,
     p_plus: Fraction,
-    intercept=None,
+    intercept: Fraction,
 ) -> list[AlphaTerm]:
-    """M^{i-} as raw alpha-normalized terms; ``intercept=None`` keeps a symbolic."""
-    a_coeff = Coeff.symbol_a() if intercept is None else Coeff.rational(intercept)
-    inv_2ap = Fraction(1, 2) / (alpha_prime * p_plus)
-
-    p_minus: list[AlphaTerm] = [
-        (c.scale(inv_2ap), w)
-        for c, w in virasoro_alpha_terms(0, transverse, n_max, alpha_prime)
-    ]
-    p_minus.append(((-a_coeff).scale(inv_2ap), ()))
-
+    """M^{i-} at a numeric ``intercept`` as raw alpha-normalized terms."""
+    half_inv_2ap = Fraction(1, 4) / (alpha_prime * p_plus)
     terms: list[AlphaTerm] = []
-    for c, w in p_minus:
-        terms.append((c.scale(Fraction(1, 2)), (("x", i),) + w))
-        terms.append((c.scale(Fraction(1, 2)), w + (("x", i),)))
+    for c, w in virasoro_alpha_terms(0, transverse, n_max, alpha_prime):
+        terms.append((c.scale(half_inv_2ap), (("x", i),) + w))
+        terms.append((c.scale(half_inv_2ap), w + (("x", i),)))
+    x_coeff, x_word = intercept_term(i, alpha_prime, p_plus)
+    terms.append((x_coeff.scale(intercept), x_word))
 
     inv_s = Coeff.sqrt(2 * alpha_prime).scale(Fraction(1) / (2 * alpha_prime))
     for n in range(1, n_max + 1):
@@ -134,7 +148,7 @@ def m_minus_expr(
     n_max: int,
     alpha_prime: Fraction,
     p_plus: Fraction,
-    intercept=None,
+    intercept: Fraction,
 ) -> OperatorExpr:
     return alpha_terms_to_expr(
         m_minus_alpha_terms(i, transverse, n_max, alpha_prime, p_plus, intercept)
@@ -158,8 +172,9 @@ def lorentz_generator(component: tuple, params: StringParams) -> OperatorExpr:
     """Mode expansion of M^{component} with oscillator sums cut at mode_cutoff.
 
     ``component`` is a pair drawn from transverse indices (integers) and the
-    light-cone labels "+"/"-". The (+,-) component needs the x0^- zero mode,
-    which is outside the transverse operator alphabet, and is rejected.
+    light-cone labels "+"/"-". M^{i-} is returned at the critical intercept
+    a = 1. The (+,-) component needs the x0^- zero mode, which is outside
+    the transverse operator alphabet, and is rejected.
     """
     if len(component) != 2:
         raise UnsupportedComponentError(f"component must be a pair, got {component!r}")
@@ -168,8 +183,7 @@ def lorentz_generator(component: tuple, params: StringParams) -> OperatorExpr:
         if isinstance(mu, int):
             return OperatorExpr()
         raise UnsupportedComponentError(f"invalid component {component!r}")
-    ap = exact_fraction(params.alpha_prime)
-    pp = exact_fraction(params.p_plus)
+    ap, pp = _exact_params(params)
     t = params.transverse_count
     n_max = params.mode_cutoff
 
@@ -195,33 +209,30 @@ def lorentz_generator(component: tuple, params: StringParams) -> OperatorExpr:
         # gauge x^+ = p^+ tau at tau = 0: M^{i+} = p^+ x^i
         return OperatorExpr({(("x", idx),): Coeff.rational(sign * pp)})
     if label == "-":
-        expr = m_minus_expr(idx, t, n_max, ap, pp)
+        expr = m_minus_expr(idx, t, n_max, ap, pp, Fraction(1))
         return expr if sign == 1 else expr.scale(-1)
     raise UnsupportedComponentError(f"invalid component {component!r}")
 
 
-def _anomalous_word(m: int) -> tuple:
-    return (("c", m, 1), ("a", m, 2))
-
-
-def _raw_anomalous_coeff(
-    m: int,
-    transverse: int,
-    n_max: int,
-    alpha_prime: Fraction,
-    p_plus: Fraction,
-    intercept=None,
-) -> Coeff:
-    """Coefficient of ad_{m,1} a_{m,2} in [M^{1-}, M^{2-}], unnormalized."""
-    m1 = m_minus_expr(1, transverse, n_max, alpha_prime, p_plus, intercept)
-    m2 = m_minus_expr(2, transverse, n_max, alpha_prime, p_plus, intercept)
-    word = _anomalous_word(m)
-    partner = (("c", m, 2), ("a", m, 1))
-    comm = commutator(m1, m2, words=(word, partner))
+def _anomalous_coeff(m: int, *pairs: tuple[OperatorExpr, OperatorExpr]) -> Fraction:
+    """Coefficient of ad_{m,1} a_{m,2} in the sum of the pairs' commutators, unnormalized."""
+    word, partner = (("c", m, 1), ("a", m, 2)), (("c", m, 2), ("a", m, 1))
+    comm = OperatorExpr()
+    for left, right in pairs:
+        comm = comm + commutator(left, right, words=(word, partner))
     coeff = comm.coefficient(word)
     if not (coeff + comm.coefficient(partner)).is_zero():
         raise AlgebraConsistencyError("anomalous bilinear is not antisymmetric in (i, j)")
-    return coeff
+    return coeff.as_rational()
+
+
+def _anomalous_affine_parts(
+    m: int, transverse: int, n_max: int, alpha_prime: Fraction, p_plus: Fraction
+) -> tuple[Fraction, Fraction]:
+    """a^0 and a^1 parts of ``_anomalous_coeff`` for [M^{1-}, M^{2-}]."""
+    m1, m2 = (m_minus_expr(i, transverse, n_max, alpha_prime, p_plus, 0) for i in (1, 2))
+    x1, x2 = (alpha_terms_to_expr([intercept_term(i, alpha_prime, p_plus)]) for i in (1, 2))
+    return _anomalous_coeff(m, (m1, m2)), _anomalous_coeff(m, (x1, m2), (m1, x2))
 
 
 def _normalization(m: int, alpha_prime: Fraction, p_plus: Fraction) -> Fraction:
@@ -245,39 +256,27 @@ def anomaly_coefficient(m: int, params: StringParams) -> PolyDA:
         raise TruncationError(
             f"mode_cutoff {params.mode_cutoff} too small: anomaly mode {m} needs >= {2 * m}"
         )
-    ap = exact_fraction(params.alpha_prime)
-    pp = exact_fraction(params.p_plus)
+    ap, pp = _exact_params(params)
     n_max = 2 * m
 
-    polys: dict[int, dict[int, Fraction]] = {}
-    for t in (2, 3, 4):
-        polys[t] = _raw_anomalous_coeff(m, t, n_max, ap, pp).a_polynomial()
-
-    stability = _raw_anomalous_coeff(m, 2, n_max + 1, ap, pp).a_polynomial()
-    if stability != polys[2]:
+    parts = {t: _anomalous_affine_parts(m, t, n_max, ap, pp) for t in (2, 3, 4)}
+    if _anomalous_affine_parts(m, 2, n_max + 1, ap, pp) != parts[2]:
         raise TruncationError(
             f"Delta_{m} changed when raising the internal cutoff {n_max} -> {n_max + 1}"
         )
 
-    powers = set(polys[2]) | set(polys[3]) | set(polys[4])
-    zero = Fraction(0)
     coeffs: dict[tuple[int, int], Fraction] = {}
     norm = _normalization(m, ap, pp)
-    for a_pow in powers:
-        c2 = polys[2].get(a_pow, zero)
-        c3 = polys[3].get(a_pow, zero)
-        c4 = polys[4].get(a_pow, zero)
+    for a_pow in (0, 1):
+        c2, c3, c4 = (parts[t][a_pow] for t in (2, 3, 4))
         slope = c3 - c2
         if c4 - c3 != slope:
             raise AlgebraConsistencyError(
                 f"transverse-trace dependence of Delta_{m} is not affine"
             )
         # c(T) = c2 + (T - 2) slope with T = D - 2
-        const = c2 - 4 * slope
-        if const:
-            coeffs[(0, a_pow)] = coeffs.get((0, a_pow), zero) + const * norm
-        if slope:
-            coeffs[(1, a_pow)] = coeffs.get((1, a_pow), zero) + slope * norm
+        coeffs[(0, a_pow)] = (c2 - 4 * slope) * norm
+        coeffs[(1, a_pow)] = slope * norm
     return PolyDA(coeffs)
 
 
@@ -292,15 +291,10 @@ def anomaly_value_direct(m: int, params: StringParams, intercept) -> Fraction:
         raise TruncationError(
             f"mode_cutoff {params.mode_cutoff} too small for anomaly mode {m}"
         )
-    ap = exact_fraction(params.alpha_prime)
-    pp = exact_fraction(params.p_plus)
-    raw = _raw_anomalous_coeff(
-        m, params.transverse_count, 2 * m, ap, pp, intercept=exact_fraction(intercept)
-    )
-    poly = raw.a_polynomial()
-    if set(poly) - {0}:
-        raise AlgebraConsistencyError("intercept substitution left symbolic terms")
-    return poly.get(0, Fraction(0)) * _normalization(m, ap, pp)
+    ap, pp = _exact_params(params)
+    a = exact_fraction(intercept)
+    m1, m2 = (m_minus_expr(i, params.transverse_count, 2 * m, ap, pp, a) for i in (1, 2))
+    return _anomalous_coeff(m, (m1, m2)) * _normalization(m, ap, pp)
 
 
 def anomaly_report(params: StringParams) -> str:

@@ -135,7 +135,7 @@ class OperatorExpr:
             if coeff.is_zero():
                 continue
             for canon, weight in normal_order_word(word).items():
-                scalar = coeff if weight == _UNIT else coeff * Coeff({(0, 1): weight})
+                scalar = coeff if weight == _UNIT else coeff * Coeff({1: weight})
                 _accumulate(out, canon, scalar)
         return OperatorExpr(out)
 
@@ -160,7 +160,7 @@ class OperatorExpr:
             for w2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for canon, (re, im) in normal_order_word(w1 + w2).items():
-                    _accumulate(out, canon, c12 * Coeff({(0, 1): (re, im)}))
+                    _accumulate(out, canon, c12 * Coeff({1: (re, im)}))
         return OperatorExpr(out)
 
     def dagger(self) -> "OperatorExpr":
@@ -184,9 +184,6 @@ class OperatorExpr:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def substitute_a(self, value) -> "OperatorExpr":
-        return OperatorExpr({w: c.substitute_a(value) for w, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -263,5 +260,5 @@ def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
                     if dre or dim:
                         if c12 is None:
                             c12 = c1 * c2
-                        _accumulate(out, w, c12 * Coeff({(0, 1): (dre, dim)}))
+                        _accumulate(out, w, c12 * Coeff({1: (dre, dim)}))
     return OperatorExpr(out)

@@ -1,19 +1,25 @@
 """Exact scalar coefficients for the operator algebra.
 
-A coefficient is a finite sum  sum_j (re_j + i im_j) * a^{p_j} * sqrt(r_j)
-with Gaussian-rational weights, integer powers of the normal-ordering
-symbol ``a`` and squarefree integer radicands r_j. This closes under the
-arithmetic the light-cone generators need (the sqrt(n) mode normalizations
-and sqrt(2 alpha') factors) while staying exact: anomaly cancellation is
-decided by exact zero tests, never by floating point.
+A coefficient is a finite sum  sum_j (re_j + i im_j) * sqrt(r_j)
+with Gaussian-rational weights and squarefree integer radicands r_j. This
+closes under the arithmetic the light-cone generators need (the sqrt(n)
+mode normalizations and sqrt(2 alpha') factors) while staying exact:
+anomaly cancellation is decided by exact zero tests, never by floating
+point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
 _ZERO = (Fraction(0), Fraction(0))
+
+
+def exact_fraction(value) -> Fraction:
+    """``value`` as an exact rational; a float reads as the decimal it prints (0.1 -> 1/10)."""
+    return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -37,7 +43,7 @@ class Coeff:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], tuple[Fraction, Fraction]] | None = None):
+    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
         cleaned = {}
         if terms:
             for key, (re, im) in terms.items():
@@ -53,23 +59,19 @@ class Coeff:
     @staticmethod
     def rational(value) -> "Coeff":
         fr = Fraction(value)
-        return Coeff({(0, 1): (fr, Fraction(0))})
+        return Coeff({1: (fr, Fraction(0))})
 
     @staticmethod
     def imaginary(value=1) -> "Coeff":
         fr = Fraction(value)
-        return Coeff({(0, 1): (Fraction(0), fr)})
-
-    @staticmethod
-    def symbol_a() -> "Coeff":
-        return Coeff({(1, 1): (Fraction(1), Fraction(0))})
+        return Coeff({1: (Fraction(0), fr)})
 
     @staticmethod
     def sqrt(value) -> "Coeff":
         """Exact square root of a positive rational."""
         fr = Fraction(value)
         s, f = squarefree_split(fr.numerator * fr.denominator)
-        return Coeff({(0, f): (Fraction(s, fr.denominator), Fraction(0))})
+        return Coeff({f: (Fraction(s, fr.denominator), Fraction(0))})
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Coeff") -> "Coeff":
@@ -86,15 +88,16 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (p1, r1), (re1, im1) in self.terms.items():
-            for (p2, r2), (re2, im2) in other.terms.items():
-                s, f = squarefree_split(r1 * r2)
-                key = (p1 + p2, f)
+        out: dict[int, tuple[Fraction, Fraction]] = {}
+        for r1, (re1, im1) in self.terms.items():
+            for r2, (re2, im2) in other.terms.items():
+                # squarefree r1, r2: r1 r2 = s^2 f with s = gcd and f squarefree
+                s = math.gcd(r1, r2)
+                f = (r1 // s) * (r2 // s)
                 re = s * (re1 * re2 - im1 * im2)
                 im = s * (re1 * im2 + im1 * re2)
-                cre, cim = out.get(key, _ZERO)
-                out[key] = (cre + re, cim + im)
+                cre, cim = out.get(f, _ZERO)
+                out[f] = (cre + re, cim + im)
         return Coeff(out)
 
     def scale(self, value) -> "Coeff":
@@ -114,52 +117,30 @@ class Coeff:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute_a(self, value) -> "Coeff":
-        fr = Fraction(value)
-        out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (p, r), (re, im) in self.terms.items():
-            w = fr**p
-            cre, cim = out.get((0, r), _ZERO)
-            out[(0, r)] = (cre + re * w, cim + im * w)
-        return Coeff(out)
-
     def as_gaussian(self) -> tuple[Fraction, Fraction]:
-        """Collapse to (re, im) Fractions; requires no symbol and no radicals."""
-        re_total, im_total = Fraction(0), Fraction(0)
-        for (p, r), (re, im) in self.terms.items():
-            if p != 0 or r != 1:
-                raise ValueError(f"coefficient is not a plain Gaussian rational: {self}")
-            re_total += re
-            im_total += im
-        return re_total, im_total
+        """Collapse to (re, im) Fractions; requires no radicals."""
+        if set(self.terms) - {1}:
+            raise ValueError(f"coefficient is not a plain Gaussian rational: {self}")
+        return self.terms.get(1, _ZERO)
 
-    def a_polynomial(self) -> dict[int, Fraction]:
-        """Collapse to a real rational polynomial in the symbol ``a``."""
-        out: dict[int, Fraction] = {}
-        for (p, r), (re, im) in self.terms.items():
-            if r != 1 or im != 0:
-                raise ValueError(f"coefficient is not a rational polynomial in a: {self}")
-            out[p] = out.get(p, Fraction(0)) + re
-        return {p: c for p, c in out.items() if c}
+    def as_rational(self) -> Fraction:
+        """Collapse to a real rational; requires no radicals and no imaginary part."""
+        re, im = self.as_gaussian()
+        if im:
+            raise ValueError(f"coefficient is not a real rational: {self}")
+        return re
 
     def to_complex(self) -> complex:
-        total = 0j
-        for (p, r), (re, im) in self.terms.items():
-            if p != 0:
-                raise ValueError("coefficient still contains the symbol a")
-            total += complex(re, im) * r**0.5
-        return total
+        return sum((complex(re, im) * r**0.5 for r, (re, im) in self.terms.items()), 0j)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for (p, r), (re, im) in sorted(self.terms.items()):
+        for r, (re, im) in sorted(self.terms.items()):
             val = f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
             if r != 1:
                 val += f"*sqrt({r})"
-            if p:
-                val += f"*a^{p}" if p != 1 else "*a"
             parts.append(val)
         return " + ".join(parts)
 
@@ -176,7 +157,7 @@ class PolyDA:
         self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
 
     def evaluate(self, dims, intercept) -> Fraction:
-        dims, intercept = Fraction(dims), Fraction(intercept)
+        dims, intercept = exact_fraction(dims), exact_fraction(intercept)
         return sum(
             (c * dims**pd * intercept**pa for (pd, pa), c in self.coeffs.items()),
             Fraction(0),

@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -182,23 +183,30 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
         raise ValidationError(
             "zero mode is excluded from correlators (infrared divergence); use n >= 1"
         )
-    if not cfg.d_tau > 0:
-        raise ValidationError(f"d_tau must be positive, got {cfg.d_tau}")
+    if not 0 < cfg.d_tau < math.inf:
+        raise ValidationError(f"d_tau must be finite and positive, got {cfg.d_tau}")
     if cfg.record_stride < 1:
         raise ValidationError(f"record_stride must be >= 1, got {cfg.record_stride}")
     state = ModeStateSpec()
     lag_steps = observables.recorded_lag(cfg.dtau_lag, cfg.d_tau * cfg.record_stride)
     steps = max(2 * lag_steps, lag_steps + round(1.0 / (cfg.d_tau * cfg.record_stride)))
     steps = max(steps * cfg.record_stride, cfg.record_stride)
-    ensemble = sde.simulate(
-        params, state, cfg.n, cfg.direction,
-        d_tau=cfg.d_tau, steps=steps, count=cfg.count,
-        seed=cfg.seed, record_stride=cfg.record_stride,
-    )
-    estimates = [
-        observables.correlator_at_lag(ensemble, 0),
-        observables.correlator_at_lag(ensemble, lag_steps),
-    ]
+    try:
+        ensemble = sde.simulate(
+            params, state, cfg.n, cfg.direction,
+            d_tau=cfg.d_tau, steps=steps, count=cfg.count,
+            seed=cfg.seed, record_stride=cfg.record_stride,
+        )
+        estimates = [
+            observables.correlator_at_lag(ensemble, 0),
+            observables.correlator_at_lag(ensemble, lag_steps),
+        ]
+    except MemoryError:
+        # steps follow from --dtau-lag and --d-tau; correlate has no --steps
+        raise ValidationError(
+            f"out of memory for count = {cfg.count} trajectories and steps = {steps}; "
+            "lower -M/--count or --dtau-lag"
+        ) from None
     rows = observables.correlator_report_rows(params, estimates)
     path = _write(cfg, out, "correlator.txt", observables.format_report(rows).splitlines())
     json_path = Path(out) / "correlator.json"

@@ -48,15 +48,23 @@ def _require_ground_state(ensemble: Ensemble) -> None:
         )
 
 
+def _standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean over independent trajectories."""
+    if values.size < 2:
+        raise ValidationError(
+            f"count = {values.size} trajectories give no standard error; need count >= 2"
+        )
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def mode_correlator(ensemble: Ensemble, t: int, t_prime: int) -> CorrelatorEstimate:
     """Estimate <q(tau_t) q(tau_t')> across trajectories at two recorded indices."""
     _require_ground_state(ensemble)
     if t < t_prime:
         raise ValidationError(f"need t >= t_prime, got {t} < {t_prime}")
     products = ensemble.samples[:, t] * ensemble.samples[:, t_prime]
-    m = ensemble.count
     value = float(products.mean())
-    se = float(products.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    se = _standard_error(products)
     lag = (t - t_prime) * ensemble.d_tau * ensemble.record_stride
     return CorrelatorEstimate(ensemble.mode, lag, value, se)
 
@@ -88,9 +96,8 @@ def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
         raise ValidationError(f"lag {lag_steps} outside recorded range")
     prods = ensemble.samples[:, : n_rec - lag_steps] * ensemble.samples[:, lag_steps:]
     per_traj = prods.mean(axis=1)
-    m = ensemble.count
     value = float(per_traj.mean())
-    se = float(per_traj.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    se = _standard_error(per_traj)
     lag = lag_steps * ensemble.d_tau * ensemble.record_stride
     return CorrelatorEstimate(ensemble.mode, lag, value, se)
 

@@ -30,8 +30,8 @@ InitSampler = Callable[[np.random.Generator, int], np.ndarray]
 Observer = Callable[[int, np.ndarray], None]
 
 _CHUNK = 4096
-# float64 noise values drawn ahead per trajectory chunk (32 MiB), so the
-# buffer stays bounded however large ``steps`` is
+# float64 noise values drawn ahead per trajectory chunk (32 MiB); the chunk
+# floors at one trajectory, so above 2**22 steps the buffer is ``steps`` values
 _NOISE_VALUES = 2**22
 # recorded columns transposed at a time when a stored ensemble is replayed
 _REPLAY_COLUMNS = 64
@@ -168,8 +168,8 @@ def simulate(
     ``steps`` is.
     """
     params.validate()
-    if d_tau <= 0:
-        raise ValidationError(f"d_tau must be positive, got {d_tau}")
+    if not 0 < d_tau < math.inf:
+        raise ValidationError(f"d_tau must be finite and positive, got {d_tau}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if count < 1:
@@ -428,6 +428,11 @@ def _second_law_probe(state: StationaryModeState) -> np.ndarray:
     """Points +-0.4..2 sigma where the stochastic acceleration is compared."""
     if state.n < 1:
         raise ValidationError("stochastic acceleration check targets n >= 1 modes")
+    if state.k != 0:
+        # its cubic fits cannot follow the drift's poles at the density's nodes
+        raise ValidationError(
+            f"stochastic acceleration check supports only the ground state, got k = {state.k}"
+        )
     return np.concatenate((np.linspace(-2, -0.4, 5), np.linspace(0.4, 2, 5))) * state.sigma
 
 

@@ -208,7 +208,7 @@ def test_criterion_07_critical_dimension():
                 for i in (1, 2)
             ]
             comm = commutator(exprs[0], exprs[1])
-            raw = [substitute_alpha_terms(t, intercept) for t in terms]
+            raw = [substitute_alpha_terms(t) for t in terms]
             for occ in ({}, {(1, 2): 1}, {(2, 2): 1}):
                 gf_state = basis_state(occ)
                 sym_state = apply_expr(comm, lift_gaussian_state(gf_state), aux)

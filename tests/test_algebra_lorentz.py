@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stochastic_string.core import StringParams
+from stochastic_string.core import ModeStateSpec, StringParams
+from stochastic_string.fpe import gaussian_field
 from stochastic_string.algebra.fock import (
     AuxOscillator,
     apply_expr,
@@ -13,6 +14,7 @@ from stochastic_string.algebra.fock import (
     substitute_alpha_terms,
 )
 from stochastic_string import algebra
+from stochastic_string.algebra.brackets import expectation
 from stochastic_string.algebra.lorentz import (
     AlgebraConsistencyError,
     TruncationError,
@@ -21,6 +23,7 @@ from stochastic_string.algebra.lorentz import (
     anomaly_coefficient,
     anomaly_report,
     anomaly_value_direct,
+    intercept_term,
     lorentz_generator,
     m_minus_alpha_terms,
     m_minus_expr,
@@ -138,6 +141,20 @@ def test_m_minus_hermitian():
     assert expr.dagger() == expr
 
 
+def test_m_minus_component_at_critical_intercept():
+    # one transverse direction, so every word has a zero-mode expectation; at
+    # alpha' = 1/2, p+ = 1, M^{1-} = {x, p^2/2 + N - a}/2 plus oscillator terms
+    # that vanish in number states, so a unit-width Gaussian at mean 0.7 gives
+    # 0.7 (1/8 + N - 1) at the critical intercept a = 1
+    small = StringParams(alpha_prime=0.5, dims=3, mode_cutoff=2)
+    m_minus = lorentz_generator((1, "-"), small)
+    assert m_minus == m_minus_expr(1, 1, 2, AP, PP, 1)
+    field = gaussian_field(-8, 8, 801, 0.7, 1.0)
+    for occupations, level in (({}, 0), ({(1, 1): 1}, 1)):
+        value = expectation(m_minus, ModeStateSpec(occupations=occupations), field)
+        assert value == pytest.approx(0.7 * (1 / 8 + level - 1), abs=1e-4)
+
+
 def test_anomaly_polynomials(params):
     d1 = anomaly_coefficient(1, params)
     d2 = anomaly_coefficient(2, params)
@@ -191,9 +208,10 @@ def test_anomaly_truncation_guard():
 def test_anomaly_direct_matches_polynomial(params):
     # direct evaluation at the physical transverse count (no interpolation)
     d2 = anomaly_coefficient(2, params)
-    assert anomaly_value_direct(2, params, 1) == d2.evaluate(26, 1)
     params25 = StringParams(alpha_prime=0.5, dims=25, mode_cutoff=4)
-    assert anomaly_value_direct(2, params25, 1) == d2.evaluate(25, 1)
+    for a in (1, Fraction(3, 4), -2):
+        assert anomaly_value_direct(2, params, a) == d2.evaluate(26, a)
+        assert anomaly_value_direct(2, params25, a) == d2.evaluate(25, a)
 
 
 def test_m_minus_commutator_matches_raw_application():
@@ -206,8 +224,8 @@ def test_m_minus_commutator_matches_raw_application():
         m_minus_expr(1, transverse, n_max, AP, PP, intercept=a_val),
         m_minus_expr(2, transverse, n_max, AP, PP, intercept=a_val),
     )
-    raw1 = substitute_alpha_terms(terms1, a_val)
-    raw2 = substitute_alpha_terms(terms2, a_val)
+    raw1 = substitute_alpha_terms(terms1)
+    raw2 = substitute_alpha_terms(terms2)
     for occ, aux_occ in [({}, {}), ({(1, 2): 1}, {}), ({(2, 2): 1}, {1: 1})]:
         gf_state = basis_state(occ, aux_occ)
         sym = apply_expr(C, lift_gaussian_state(gf_state), AUX)
@@ -234,10 +252,14 @@ def test_poly_da_helpers():
 
 
 @pytest.mark.parametrize("transverse, n_max", [(2, 2), (3, 2), (2, 3)])
-@pytest.mark.parametrize("intercept", [None, Fraction(3, 4)])
+@pytest.mark.parametrize("intercept", [pytest.param("X", id="x_pair"), Fraction(3, 4)])
 def test_pruned_m_minus_commutator_matches_full(transverse, n_max, intercept):
-    m1 = m_minus_expr(1, transverse, n_max, AP, PP, intercept)
-    m2 = m_minus_expr(2, transverse, n_max, AP, PP, intercept)
+    if intercept == "X":  # [X^1, M0^2], the a^1 pair of anomaly_coefficient
+        m1 = alpha_terms_to_expr([intercept_term(1, AP, PP)])
+        m2 = m_minus_expr(2, transverse, n_max, AP, PP, 0)
+    else:
+        m1 = m_minus_expr(1, transverse, n_max, AP, PP, intercept)
+        m2 = m_minus_expr(2, transverse, n_max, AP, PP, intercept)
     full = commutator(m1, m2)
     wanted = {
         (("c", m, i), ("a", m, j)) for m in range(1, n_max + 1) for i, j in ((1, 2), (2, 1))
@@ -252,14 +274,14 @@ def test_pruned_m_minus_commutator_matches_full(transverse, n_max, intercept):
 
 
 def test_m_minus_cache_is_bounded():
-    first = m_minus_expr(1, 2, 1, AP, PP)
+    first = m_minus_expr(1, 2, 1, AP, PP, 1)
     for k in range(1, 80):
-        m_minus_expr(1, 2, 1, AP, Fraction(k, 7))
+        m_minus_expr(1, 2, 1, AP, Fraction(k, 7), 1)
     info = m_minus_expr.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
-    again = m_minus_expr(1, 2, 1, AP, PP)
+    again = m_minus_expr(1, 2, 1, AP, PP, 1)
     assert again == first
-    assert again == alpha_terms_to_expr(m_minus_alpha_terms(1, 2, 1, AP, PP))
+    assert again == alpha_terms_to_expr(m_minus_alpha_terms(1, 2, 1, AP, PP, 1))
 
 
 def test_consistency_error_is_a_numerical_failure():

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import signal
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +35,25 @@ _OPTIONS = {
     "bracket-check": _COMMON | {"--x-min", "--x-max", "--points"},
     "transport-check": _COMMON | {"--n", "-M", "--count", "--d-tau", "--steps"},
 }
+
+
+class _Overrun(BaseException):
+    """Raised by ``_deadline``; not an Exception, so ``run`` cannot turn it into an exit code."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the enclosed call if it is still running after ``seconds``."""
+    def overrun(signum, frame):
+        raise _Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _option_strings(parser):
@@ -69,6 +91,13 @@ def test_every_run_config_field_is_settable():
     (["correlate", "--dtau-lag", "0.0004"], "dtau_lag"),
     (["correlate", "--dtau-lag", "0.0015"], "dtau_lag"),
     (["correlate", "--dtau-lag", "-1"], "dtau_lag"),
+    (["simulate", "--d-tau", "nan"], "d_tau"),
+    (["simulate", "--d-tau", "inf"], "d_tau"),
+    (["transport-check", "--d-tau", "nan"], "d_tau"),
+    (["transport-check", "--d-tau", "inf"], "d_tau"),
+    (["fpe-check", "--d-tau", "nan"], "d_tau"),
+    (["fpe-check", "--d-tau", "inf"], "d_tau"),
+    (["correlate", "--d-tau", "inf"], "d_tau"),
 ])
 def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "-M", "5", "--out", str(tmp_path), "--no-timestamp"])
@@ -120,6 +149,35 @@ def test_anomaly_noncritical_dimension(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "Delta_2 = 1/8" in capsys.readouterr().out
+
+
+def test_anomaly_reads_intercept_as_typed(tmp_path, capsys):
+    code = run(["anomaly", "--m", "2", "--intercept", "0.1", "--out", str(tmp_path),
+                "--no-timestamp"])
+    assert code == EXIT_OK
+    assert "Delta_2 = 9/10" in capsys.readouterr().out
+    assert "Delta_2(26, 0.1) = 9/10" in (tmp_path / "anomaly.txt").read_text()
+
+
+def test_anomaly_decimal_alpha_prime(tmp_path):
+    from stochastic_string.algebra.lorentz import exact_fraction
+
+    assert exact_fraction(0.37) == Fraction(37, 100)
+    # 2 alpha' = 1000003 is prime: products of two sqrt(2 alpha') must not factor its square
+    for alpha_prime in ("0.37", "0.3", "0.123456", "1e-3", "500001.5"):
+        with _deadline(10):
+            code = run(["anomaly", "--m", "1", "--alpha-prime", alpha_prime,
+                        "--out", str(tmp_path), "--no-timestamp"])
+        assert code == EXIT_OK
+        assert "Delta_1(D, a) = 2 + -2*a" in (tmp_path / "anomaly.txt").read_text()
+
+
+def test_anomaly_alpha_prime_too_long_to_factor(tmp_path, capsys):
+    with _deadline(10):
+        code = run(["anomaly", "--m", "1", "--alpha-prime", "0.1234567891234567",
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert "alpha_prime = 0.1234567891234567" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -199,6 +257,24 @@ def test_correlate_writes_table(tmp_path, capsys):
     assert abs(lag_row["z_score"]) < 3
 
 
+def test_correlate_needs_two_trajectories(tmp_path, capsys):
+    code = run([
+        "correlate", "-M", "1", "--d-tau", "0.01", "--dtau-lag", "0.1",
+        "--out", str(tmp_path), "--no-timestamp",
+    ])
+    assert code == EXIT_VALIDATION
+    assert "count = 1" in capsys.readouterr().err
+
+
+def test_fpe_check_oversized_horizon_exit_code(tmp_path, capsys):
+    with _deadline(1):
+        code = run(["fpe-check", "--d-tau", "1e9", "--steps", "5", "-M", "5",
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "d_tau" in err and "steps" in err
+
+
 def test_unknown_flag_is_validation_error(capsys):
     assert run(["simulate", "--bogus"]) == EXIT_VALIDATION
 
@@ -253,6 +329,12 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "count = 50" in err and "steps = 70" in err
+    # correlate derives its steps from --dtau-lag and takes no --steps
+    code = run(["correlate", "--dtau-lag", "5", "-M", "5", "--out", str(tmp_path),
+                "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "count = 5" in err and "steps = 10000" in err and "--steps" not in err
 
 
 def test_too_small_ensemble_exit_code(tmp_path, capsys):

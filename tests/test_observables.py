@@ -76,6 +76,15 @@ def test_mode_correlator_validation(ground_ensemble, params):
         mode_correlator(zero, 1, 0)
 
 
+def test_correlators_need_two_trajectories(params):
+    # one trajectory has no spread to take a standard error from
+    single = sde.simulate(params, ModeStateSpec(), 1, 1, d_tau=1e-3, steps=10, count=1, seed=1)
+    with pytest.raises(ValidationError, match="count = 1"):
+        mode_correlator(single, 5, 0)
+    with pytest.raises(ValidationError, match="count = 1"):
+        correlator_at_lag(single, 2)
+
+
 def test_summed_correlator_matches_partial_sum():
     # oracle: scalar arithmetic, independent of simulation
     params = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6)

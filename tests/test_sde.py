@@ -230,6 +230,9 @@ def test_second_law_guards(params, ground_spec):
     zero_mode = StationaryModeState(params, 0, momentum=0.0)
     with pytest.raises(ValidationError, match="n >= 1"):
         sde.second_law_bins(zero_mode, 1e-3)
+    # the cubic fits cannot follow the drift's pole at an excited state's node
+    with pytest.raises(ValidationError, match="k = 1"):
+        sde.second_law_bins(StationaryModeState(params, 1, 1), 1e-3)
     # 250 conditioned samples per direction on 21 fit-grid bins: each under 200
     state = sde._resolve_state(params, ground_spec, 1, 1)
     bins = sde.second_law_bins(state, 1e-3)
