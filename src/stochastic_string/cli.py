@@ -179,10 +179,6 @@ def _cmd_simulate(cfg: RunConfig, out: str) -> int:
 
 def _cmd_correlate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    if cfg.n < 1:
-        raise ValidationError(
-            "zero mode is excluded from correlators (infrared divergence); use n >= 1"
-        )
     if not 0 < cfg.d_tau < math.inf:
         raise ValidationError(f"d_tau must be finite and positive, got {cfg.d_tau}")
     if cfg.record_stride < 1:
@@ -191,22 +187,17 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
     lag_steps = observables.recorded_lag(cfg.dtau_lag, cfg.d_tau * cfg.record_stride)
     steps = max(2 * lag_steps, lag_steps + round(1.0 / (cfg.d_tau * cfg.record_stride)))
     steps = max(steps * cfg.record_stride, cfg.record_stride)
-    try:
-        ensemble = sde.simulate(
-            params, state, cfg.n, cfg.direction,
-            d_tau=cfg.d_tau, steps=steps, count=cfg.count,
-            seed=cfg.seed, record_stride=cfg.record_stride,
-        )
-        estimates = [
-            observables.correlator_at_lag(ensemble, 0),
-            observables.correlator_at_lag(ensemble, lag_steps),
-        ]
-    except MemoryError:
-        # steps follow from --dtau-lag and --d-tau; correlate has no --steps
-        raise ValidationError(
-            f"out of memory for count = {cfg.count} trajectories and steps = {steps}; "
-            "lower -M/--count or --dtau-lag"
-        ) from None
+    # lag products summed inside the Euler loop: only the end points are stored
+    products = observables.LagProducts(
+        sde._resolve_state(params, state, cfg.n, cfg.direction),
+        cfg.d_tau, cfg.record_stride, [0, lag_steps],
+    )
+    sde.simulate(
+        params, state, cfg.n, cfg.direction,
+        d_tau=cfg.d_tau, steps=steps, count=cfg.count, seed=cfg.seed,
+        record_stride=steps, observe=products,
+    )
+    estimates = [products.estimate(0), products.estimate(lag_steps)]
     rows = observables.correlator_report_rows(params, estimates)
     path = _write(cfg, out, "correlator.txt", observables.format_report(rows).splitlines())
     json_path = Path(out) / "correlator.json"
@@ -271,6 +262,8 @@ def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
 
 def _cmd_anomaly(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
+    if not math.isfinite(cfg.intercept):
+        raise ValidationError(f"intercept must be finite, got {cfg.intercept}")
     poly = algebra.anomaly_coefficient(cfg.m, params)
     value = poly.evaluate(cfg.dims, cfg.intercept)
     # Delta_1 and Delta_2 fix (D, a) jointly; Delta_2 needs mode_cutoff >= 4
@@ -353,10 +346,15 @@ def run(argv: list[str] | None = None) -> int:
         try:
             return _COMMANDS[args.command][0](cfg, args.out)
         except MemoryError:
-            raise ValidationError(
-                f"out of memory for count = {cfg.count} trajectories and "
-                f"steps = {cfg.steps}; lower -M/--count or --steps"
-            ) from None
+            # name only the size fields the command takes, with their flags
+            taken = _COMMANDS[cfg.command][2].split()
+            sizes = [f for f in ("count", "steps", "points") if f in taken]
+            message = "out of memory"
+            if sizes:
+                message += " for " + " and ".join(f"{f} = {getattr(cfg, f)}" for f in sizes)
+                flags = ("-M/--count" if f == "count" else f"--{f}" for f in sizes)
+                message += "; lower " + " or ".join(flags)
+            raise ValidationError(message) from None
         except sde.InsufficientSamplesError as exc:
             raise ValidationError(
                 f"{exc} with count = {cfg.count} trajectories; raise -M/--count"

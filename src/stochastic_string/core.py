@@ -9,6 +9,7 @@ mode diffuses with constant 2*alpha', the zero mode with alpha'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -63,16 +64,16 @@ class StringParams:
 def validate(params: StringParams) -> list[str]:
     """Check every parameter invariant; return one message per violation."""
     errors = []
-    if not params.alpha_prime > 0:
-        errors.append(f"alpha_prime must be positive, got {params.alpha_prime}")
+    if not 0 < params.alpha_prime < math.inf:
+        errors.append(f"alpha_prime must be finite and positive, got {params.alpha_prime}")
     if params.dims < 3:
         errors.append(
             f"dims must be >= 3 (no transverse directions otherwise), got {params.dims}"
         )
     if params.mode_cutoff < 1:
         errors.append(f"mode_cutoff must be >= 1, got {params.mode_cutoff}")
-    if not params.p_plus > 0:
-        errors.append(f"p_plus must be positive, got {params.p_plus}")
+    if not 0 < params.p_plus < math.inf:
+        errors.append(f"p_plus must be finite and positive, got {params.p_plus}")
     return errors
 
 

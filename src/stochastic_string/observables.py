@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import StringParams, ValidationError
-from .sde import Ensemble
+from .drift import StationaryModeState
+from .sde import Ensemble, replay
 
 
 class ExcitedStateError(ValidationError):
@@ -28,7 +30,7 @@ class ZeroModeError(ValidationError):
 
 
 class MissingModeError(ValidationError):
-    """Summed correlator requires every (mode, direction) ensemble."""
+    """Summed correlator requires every (mode, direction) run."""
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,12 @@ class CorrelatorEstimate:
     standard_error: float
 
 
-def _require_ground_state(ensemble: Ensemble) -> None:
-    if ensemble.mode < 1:
+def _require_ground_state(state: StationaryModeState) -> None:
+    if state.n < 1:
         raise ZeroModeError("zero mode is excluded from correlators")
-    if ensemble.state.k != 0:
+    if state.k != 0:
         raise ExcitedStateError(
-            f"correlator contract holds for k = 0, ensemble has k = {ensemble.state.k}"
+            f"correlator contract holds for k = 0, ensemble has k = {state.k}"
         )
 
 
@@ -59,7 +61,7 @@ def _standard_error(values: np.ndarray) -> float:
 
 def mode_correlator(ensemble: Ensemble, t: int, t_prime: int) -> CorrelatorEstimate:
     """Estimate <q(tau_t) q(tau_t')> across trajectories at two recorded indices."""
-    _require_ground_state(ensemble)
+    _require_ground_state(ensemble.state)
     if t < t_prime:
         raise ValidationError(f"need t >= t_prime, got {t} < {t_prime}")
     products = ensemble.samples[:, t] * ensemble.samples[:, t_prime]
@@ -83,23 +85,64 @@ def recorded_lag(delta_tau: float, spacing: float) -> int:
     )
 
 
-def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
-    """Stationarity-averaged correlator at a fixed recorded lag.
+class LagProducts:
+    """Per-trajectory sums of q_t q_{t+lag}: the correlators' ``simulate`` observer.
 
-    Each trajectory contributes the time average of q_t q_{t+lag} over all
-    recorded origins; the standard error is taken across trajectories,
-    which are independent by construction.
+    ``products(t, column)`` takes one trajectory chunk after t steps (t = 0
+    starts a chunk) and records every ``record_stride``-th column into a
+    ring buffer of the last max(lags) + 1; each recorded column adds its
+    product with the one ``lag`` columns back to that lag's sums. Memory
+    does not grow with ``steps``. Fill it by streaming ``simulate`` or by
+    ``sde.replay`` of a stored run.
     """
-    _require_ground_state(ensemble)
-    n_rec = ensemble.samples.shape[1]
-    if not 0 <= lag_steps < n_rec:
-        raise ValidationError(f"lag {lag_steps} outside recorded range")
-    prods = ensemble.samples[:, : n_rec - lag_steps] * ensemble.samples[:, lag_steps:]
-    per_traj = prods.mean(axis=1)
-    value = float(per_traj.mean())
-    se = _standard_error(per_traj)
-    lag = lag_steps * ensemble.d_tau * ensemble.record_stride
-    return CorrelatorEstimate(ensemble.mode, lag, value, se)
+
+    def __init__(self, state: StationaryModeState, d_tau: float, record_stride: int,
+                 lags: Sequence[int]):
+        _require_ground_state(state)
+        if min(lags) < 0:
+            raise ValidationError(f"lag {min(lags)} outside recorded range")
+        self.state = state
+        self.d_tau = d_tau
+        self.record_stride = record_stride
+        self.lags = list(lags)
+        self.recorded = 0
+        # one (lags, trajectories) array of sums per chunk
+        self._sums: list[np.ndarray] = []
+
+    def __call__(self, t: int, col: np.ndarray) -> None:
+        if t == 0:
+            self._recent = deque(maxlen=max(self.lags) + 1)
+            self._sums.append(np.zeros((len(self.lags), len(col))))
+        if t % self.record_stride:
+            return
+        self.recorded = t // self.record_stride + 1
+        self._recent.appendleft(col)
+        for sums, lag in zip(self._sums[-1], self.lags):
+            if lag < len(self._recent):
+                sums += self._recent[lag] * col
+
+    def estimate(self, lag: int) -> CorrelatorEstimate:
+        """Stationarity-averaged correlator at ``lag`` recorded columns, one of ``lags``.
+
+        Each trajectory contributes the time average of q_t q_{t+lag} over all
+        recorded origins; the standard error is taken across trajectories,
+        which are independent by construction.
+        """
+        if lag not in self.lags or lag >= self.recorded:
+            raise ValidationError(f"lag {lag} outside recorded range or the summed {self.lags}")
+        row = self.lags.index(lag)
+        per_traj = np.concatenate([sums[row] for sums in self._sums]) / (self.recorded - lag)
+        lag_tau = lag * self.d_tau * self.record_stride
+        return CorrelatorEstimate(
+            self.state.n, lag_tau, float(per_traj.mean()), _standard_error(per_traj)
+        )
+
+
+def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
+    """``LagProducts.estimate`` of a stored run at a fixed recorded lag."""
+    products = LagProducts(ensemble.state, ensemble.d_tau, ensemble.record_stride, [lag_steps])
+    replay(ensemble, products)
+    return products.estimate(lag_steps)
 
 
 def analytic_mode_correlator(params: StringParams, n: int, delta_tau: float) -> float:
@@ -123,38 +166,31 @@ def fit_log_slope(estimates: Sequence[CorrelatorEstimate]) -> float:
 
 
 def summed_correlator(
-    ensembles: Iterable[Ensemble], delta_tau: float
+    products: Mapping[tuple[int, int], LagProducts], delta_tau: float
 ) -> tuple[float, float]:
     """Sum of per-(mode, direction) correlator estimates at one lag.
 
-    Requires a ground-state ensemble for every mode n = 1..mode_cutoff and
-    every transverse direction; returns (value, standard_error) with the
-    errors of independent ensembles combined in quadrature.
+    ``products`` maps every (mode n = 1..mode_cutoff, transverse
+    direction) to the ``LagProducts`` filled by its ground-state run, each
+    summing the lag ``delta_tau``; returns (value, standard_error) with the
+    errors of independent runs combined in quadrature.
     """
-    ensembles = list(ensembles)
-    if not ensembles:
-        raise MissingModeError("no ensembles supplied")
-    params = ensembles[0].params
-    seen: dict[tuple[int, int], Ensemble] = {}
-    for ens in ensembles:
-        _require_ground_state(ens)
-        key = (ens.mode, ens.direction)
-        if key in seen:
-            raise ValidationError(f"duplicate ensemble for (mode, direction) {key}")
-        seen[key] = ens
+    if not products:
+        raise MissingModeError("no correlator sums supplied")
+    params = next(iter(products.values())).state.params
     required = {
         (n, i)
         for n in range(1, params.mode_cutoff + 1)
         for i in range(1, params.transverse_count + 1)
     }
-    missing = sorted(required - set(seen))
+    missing = sorted(required - set(products))
     if missing:
-        raise MissingModeError(f"missing (mode, direction) ensembles: {missing[:8]}")
+        raise MissingModeError(f"missing (mode, direction) runs: {missing[:8]}")
 
     total = 0.0
     variance = 0.0
-    for ens in seen.values():
-        est = correlator_at_lag(ens, recorded_lag(delta_tau, ens.d_tau * ens.record_stride))
+    for part in products.values():
+        est = part.estimate(recorded_lag(delta_tau, part.d_tau * part.record_stride))
         total += est.value
         variance += est.standard_error**2
     return total, math.sqrt(variance)

@@ -9,7 +9,8 @@ bit generator is re-keyed in place, which yields exactly the draws of a
 freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
 building one per trajectory. An observer passed to ``simulate`` sees the
 amplitudes after every step, so a check such as ``RateBins`` can bin a
-run without storing it.
+run without storing it; ``replay`` feeds a stored ensemble to the same
+observer.
 """
 
 from __future__ import annotations
@@ -292,6 +293,30 @@ def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:
     return float(dq.mean()), float(dq.var(ddof=1))
 
 
+def replay(ensemble: Ensemble, observer: Observer) -> None:
+    """Feed a stored ensemble to ``observer`` as ``simulate(observe=...)`` would.
+
+    Recorded column r goes in as ``observer(r * record_stride, column)``:
+    a strided run reaches the observer at its step numbers, with the steps
+    between them missing. Trajectories go in the chunks ``simulate`` runs,
+    so sums taken per chunk are bit-identical to the same run streamed.
+    Each chunk is read ``_REPLAY_COLUMNS`` columns at a time through one
+    transposed copy, so every column handed on is contiguous. The
+    observer's ``d_tau`` must be the run's.
+    """
+    if ensemble.d_tau != observer.d_tau:
+        raise ValidationError(
+            f"ensemble d_tau = {ensemble.d_tau} differs from the observer's {observer.d_tau}"
+        )
+    samples = ensemble.samples
+    chunk = _chunk_size(ensemble.steps)
+    for start in range(0, ensemble.count, chunk):
+        for t0 in range(0, samples.shape[1], _REPLAY_COLUMNS):
+            group = samples[start : start + chunk, t0 : t0 + _REPLAY_COLUMNS].T.copy()
+            for t, col in enumerate(group, t0):
+                observer(t * ensemble.record_stride, col)
+
+
 class RateBins:
     """Conditional transport rates of ``F`` on a probe, binned one column at a time.
 
@@ -338,28 +363,6 @@ class RateBins:
                 self.pos_sums[d] += np.bincount(cond_bins, weights=cond, minlength=n + 1)[:n]
                 self.counts[d] += np.bincount(cond_bins, minlength=n + 1)[:n]
         self._last = col, bins, values
-
-    def replay(self, ensemble: Ensemble) -> None:
-        """Feed a stored full-resolution ensemble, run at ``d_tau``, through the observer.
-
-        Trajectories go in the chunks ``simulate`` runs, so the sums are
-        bit-identical to binning the same run streamed. Each chunk is read
-        ``_REPLAY_COLUMNS`` columns at a time through one transposed copy,
-        so every column handed on is contiguous.
-        """
-        if ensemble.record_stride != 1:
-            raise ValidationError("transport derivatives need record_stride == 1")
-        if ensemble.d_tau != self.d_tau:
-            raise ValidationError(
-                f"ensemble d_tau = {ensemble.d_tau} differs from the bins' d_tau = {self.d_tau}"
-            )
-        samples = ensemble.samples
-        chunk = _chunk_size(ensemble.steps)
-        for start in range(0, ensemble.count, chunk):
-            for t0 in range(0, samples.shape[1], _REPLAY_COLUMNS):
-                group = samples[start : start + chunk, t0 : t0 + _REPLAY_COLUMNS].T.copy()
-                for t, col in enumerate(group, t0):
-                    self(t, col)
 
     def rates(self, min_occupancy: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per direction (rates, bin means, counts); every bin needs ``min_occupancy``.
@@ -419,8 +422,10 @@ def transport_derivative_check(
     ``F``. Streaming ``transport_bins`` through ``simulate(observe=...)``
     gives the same value bit for bit without storing the ensemble.
     """
+    if ensemble.record_stride != 1:
+        raise ValidationError("transport derivatives need record_stride == 1")
     bins = transport_bins(ensemble.state, F, ensemble.d_tau)
-    bins.replay(ensemble)
+    replay(ensemble, bins)
     return transport_deviation(bins, ensemble.state, dF, d2F)
 
 

@@ -67,23 +67,24 @@ def test_criterion_02_correlator_decay():
         stride = 20
         for n in (1, 2, 3):
             steps = int(round(3.0 / n / 1e-3 / stride)) * stride
-            ens = sde.simulate(
+            # lags spanning n * dtau in [0, 2]
+            max_lag = int(round(2.0 / n / (1e-3 * stride)))
+            lags = sorted({int(round(f * max_lag)) for f in np.linspace(0, 1, 11)})
+            # summed inside the Euler loop: only the end points are stored
+            products = observables.LagProducts(StationaryModeState(PARAMS, n), 1e-3, stride, lags)
+            sde.simulate(
                 PARAMS, GROUND, n, 1, d_tau=1e-3, steps=steps, count=100_000,
-                seed=sde.spawn_seed(MASTER_SEED, n, 1), record_stride=stride,
+                seed=sde.spawn_seed(MASTER_SEED, n, 1), record_stride=steps, observe=products,
             )
-            equal_time = observables.correlator_at_lag(ens, 0)
+            equal_time = products.estimate(0)
             expected = 2 * PARAMS.alpha_prime / n
             assert equal_time.value == pytest.approx(
                 expected, abs=3 * equal_time.standard_error
             ), f"equal-time value off for n={n}"
 
-            # lags spanning n * dtau in [0, 2]
-            max_lag = int(round(2.0 / n / (1e-3 * stride)))
-            lags = sorted({int(round(f * max_lag)) for f in np.linspace(0, 1, 11)})
-            ests = [observables.correlator_at_lag(ens, lag) for lag in lags]
+            ests = [products.estimate(lag) for lag in lags]
             slope = observables.fit_log_slope(ests)
             assert abs(slope - (-n)) <= 0.03 * n, f"slope {slope} vs -{n}"
-            del ens
 
 
 def test_criterion_03_summed_correlator():
@@ -92,15 +93,19 @@ def test_criterion_03_summed_correlator():
         expected = (26 - 2) * 2 * 0.5 * sum(math.exp(-n) / n for n in range(1, 7))
         stride = 25
         steps = 2200
-        ensembles = [
-            sde.simulate(
-                PARAMS, GROUND, n, i, d_tau=1e-3, steps=steps, count=3000,
-                seed=sde.spawn_seed(MASTER_SEED, n, i), record_stride=stride,
-            )
-            for n in range(1, 7)
-            for i in range(1, 25)
-        ]
-        total, stderr = observables.summed_correlator(ensembles, 1.0)
+        lag = observables.recorded_lag(1.0, 1e-3 * stride)
+        products = {}
+        for n in range(1, 7):
+            for i in range(1, 25):
+                products[n, i] = observables.LagProducts(
+                    StationaryModeState(PARAMS, n), 1e-3, stride, [lag]
+                )
+                sde.simulate(
+                    PARAMS, GROUND, n, i, d_tau=1e-3, steps=steps, count=3000,
+                    seed=sde.spawn_seed(MASTER_SEED, n, i), record_stride=steps,
+                    observe=products[n, i],
+                )
+        total, stderr = observables.summed_correlator(products, 1.0)
         assert abs(total - expected) <= 0.05 * expected, (
             f"summed correlator {total} vs {expected} (se {stderr})"
         )

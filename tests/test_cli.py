@@ -329,12 +329,41 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "count = 50" in err and "steps = 70" in err
-    # correlate derives its steps from --dtau-lag and takes no --steps
+    # correlate derives its steps from --dtau-lag, takes no --steps and
+    # stores no trajectories: only its count sets its memory
     code = run(["correlate", "--dtau-lag", "5", "-M", "5", "--out", str(tmp_path),
                 "--no-timestamp"])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "count = 5" in err and "steps = 10000" in err and "--steps" not in err
+    assert "count = 5" in err and "steps =" not in err and "--steps" not in err
+
+
+def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypatch):
+    from stochastic_string import fpe
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fpe, "stationary_field", no_memory)
+    code = run(["madelung-check", "--points", "101", "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "out of memory for points = 101; lower --points" in err
+    assert "--steps" not in err and "-M" not in err and "count" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--alpha-prime", "inf", "-M", "5", "--steps", "5"], "alpha_prime"),
+    (["simulate", "--p-plus", "inf", "-M", "5", "--steps", "5"], "p_plus"),
+    (["anomaly", "--alpha-prime", "inf"], "alpha_prime"),
+    (["anomaly", "--p-plus", "inf"], "p_plus"),
+    (["anomaly", "--intercept", "inf"], "intercept"),
+    (["anomaly", "--intercept", "nan"], "intercept"),
+])
+def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
+    code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
 
 
 def test_too_small_ensemble_exit_code(tmp_path, capsys):
@@ -477,3 +506,26 @@ def test_transport_check_memory_independent_of_steps(tmp_path, monkeypatch):
         # a stored (count, steps + 1) ensemble would add 31 MB (fpe-check) or
         # 45 MB (transport-check) at 3200 steps
         assert abs(peaks[1] - peaks[0]) < 1e6, command
+
+
+def test_correlate_memory_independent_of_steps(tmp_path, monkeypatch):
+    from stochastic_string import sde
+
+    # a small noise buffer, so a stored ensemble would dominate; 1000
+    # trajectories exceed the 327 it holds at 200 steps, so the chunk,
+    # and with it the lag ring buffer, shrinks as the steps grow
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 2**16)
+    peaks = []
+    for lag in ("1", "4"):  # 200 and 800 steps of 0.01
+        tracemalloc.start()
+        try:
+            code = run([
+                "correlate", "--n", "1", "-M", "1000", "--d-tau", "0.01", "--dtau-lag", lag,
+                "--out", str(tmp_path), "--no-timestamp",
+            ])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    # a stored (1000, steps + 1) ensemble would add 4.8 MB at 800 steps
+    assert abs(peaks[1] - peaks[0]) < 1e6

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from stochastic_string.drift import StationaryModeState
 from stochastic_string import observables, sde
 from stochastic_string.observables import (
     ExcitedStateError,
+    LagProducts,
     MissingModeError,
     ZeroModeError,
     analytic_summed_correlator,
@@ -68,12 +70,20 @@ def test_mode_correlator_validation(ground_ensemble, params):
     )
     with pytest.raises(ExcitedStateError):
         mode_correlator(excited, 1, 0)
+    with pytest.raises(ExcitedStateError):
+        LagProducts(excited.state, 1e-3, 1, [0])
     zero = sde.simulate(
         params, ModeStateSpec(zero_mode_momentum=tuple([0.0] * 24)), 0, 1,
         init=0.0, d_tau=1e-3, steps=10, count=50, seed=1,
     )
     with pytest.raises(ZeroModeError):
         mode_correlator(zero, 1, 0)
+    with pytest.raises(ZeroModeError):
+        LagProducts(zero.state, 1e-3, 1, [0])
+    with pytest.raises(ValidationError, match="lag -1"):
+        correlator_at_lag(ground_ensemble, -1)
+    with pytest.raises(ValidationError, match="lag 31 outside recorded range"):
+        correlator_at_lag(ground_ensemble, 31)
 
 
 def test_correlators_need_two_trajectories(params):
@@ -96,30 +106,44 @@ def test_summed_correlator_matches_partial_sum():
     assert analytic_summed_correlator(params, 0.0, 1) == pytest.approx(24.0)
 
 
-def test_summed_correlator_sums_parts_exactly():
+def test_summed_correlator_sums_parts_exactly(monkeypatch):
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
     spec = ModeStateSpec()
-    ensembles = [
-        sde.simulate(params, spec, n, i, d_tau=1e-2, steps=200, count=400,
-                     seed=sde.spawn_seed(3, n, i), record_stride=10)
-        for n in (1, 2) for i in (1, 2)
-    ]
-    total, err = summed_correlator(ensembles, 1.0)
-    parts = [correlator_at_lag(e, 10).value for e in ensembles]
-    assert total == pytest.approx(sum(parts), rel=1e-12)
-    assert err > 0
+    # streamed sums equal a replay of the stored run bit for bit, from lag 0
+    # to the largest recorded lag, in one chunk or in chunks of 150, 150, 100
+    for noise_values, stride in itertools.product((sde._NOISE_VALUES, 150 * 200), (1, 10)):
+        monkeypatch.setattr(sde, "_NOISE_VALUES", noise_values)
+        lags = [0, 100 // stride, 200 // stride]  # 0, delta_tau = 1 and the last column
+        streamed, parts = {}, []
+        for n in (1, 2):
+            for i in (1, 2):
+                kwargs = dict(d_tau=1e-2, steps=200, count=400, seed=sde.spawn_seed(3, n, i))
+                streamed[n, i] = LagProducts(StationaryModeState(params, n), 1e-2, stride, lags)
+                sde.simulate(params, spec, n, i, record_stride=200, observe=streamed[n, i],
+                             **kwargs)
+                stored = sde.simulate(params, spec, n, i, record_stride=stride, **kwargs)
+                for lag in lags:
+                    est = streamed[n, i].estimate(lag)
+                    assert est == correlator_at_lag(stored, lag)
+                    # the estimator's definition, summed in numpy's order
+                    q = stored.samples
+                    per_traj = (q[:, : q.shape[1] - lag] * q[:, lag:]).mean(axis=1)
+                    assert est.value == pytest.approx(per_traj.mean(), rel=1e-12)
+                    se = per_traj.std(ddof=1) / math.sqrt(len(per_traj))
+                    assert est.standard_error == pytest.approx(se, rel=1e-12)
+                parts.append(correlator_at_lag(stored, lags[1]).value)
+        total, err = summed_correlator(streamed, 1.0)
+        assert total == sum(parts)
+        assert err > 0
 
 
 def test_summed_correlator_missing_mode():
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
-    spec = ModeStateSpec()
-    ensembles = [
-        sde.simulate(params, spec, 1, i, d_tau=1e-2, steps=100, count=50,
-                     seed=i, record_stride=10)
-        for i in (1, 2)
-    ]
+    state = StationaryModeState(params, 1)
     with pytest.raises(MissingModeError):
-        summed_correlator(ensembles, 0.5)
+        summed_correlator({(1, i): LagProducts(state, 1e-2, 10, [5]) for i in (1, 2)}, 0.5)
+    with pytest.raises(MissingModeError):
+        summed_correlator({}, 0.5)
 
 
 def test_reconstruct_string_trivial_cases():

@@ -458,12 +458,12 @@ def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, back
     simulate(params, ground_spec, 1, 1, record_stride=40, observe=streamed, **kwargs)
     ens = simulate(params, ground_spec, 1, 1, **kwargs)
     replayed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
-    replayed.replay(ens)
+    sde.replay(ens, replayed)
     for a, b in zip(_sums(streamed), _sums(replayed)):
         assert np.array_equal(a, b)
     assert streamed.counts.sum() > 0
     with pytest.raises(ValidationError, match="d_tau"):
-        sde.RateBins(F, probe, 0.25, 2e-3, backward).replay(ens)
+        sde.replay(ens, sde.RateBins(F, probe, 0.25, 2e-3, backward))
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
@@ -475,6 +475,9 @@ def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypa
     streamed = sde.transport_deviation(bins, state, np.ones_like, np.zeros_like)
     ens = simulate(params, ground_spec, 1, 1, **kwargs)
     assert streamed == transport_derivative_check(ens, lambda x: x, np.ones_like, np.zeros_like)
+    strided = simulate(params, ground_spec, 1, 1, record_stride=2, **kwargs)
+    with pytest.raises(ValidationError, match="record_stride == 1"):
+        transport_derivative_check(strided, lambda x: x, np.ones_like, np.zeros_like)
 
 
 def test_observer_sees_every_step_of_each_chunk(params, ground_spec, monkeypatch):
