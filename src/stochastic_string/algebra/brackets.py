@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..core import ModeStateSpec, ValidationError
-from ..fpe import GridField, _gradient
+from ..fpe import GridField
 from .fock import diagonal_ladder_expectation
 from .operators import OperatorExpr, commutator
 
@@ -46,8 +46,8 @@ def mean_position() -> BracketFunctional:
 def mean_momentum() -> BracketFunctional:
     """B[rho, S] = integral rho S' dx; dB/dS = -rho' by parts."""
     return BracketFunctional(
-        d_rho=lambda field: _gradient(field.S, field.h),
-        d_S=lambda field: -_gradient(field.rho, field.h),
+        d_rho=lambda field: np.gradient(field.S, field.h),
+        d_S=lambda field: -np.gradient(field.rho, field.h),
     )
 
 
@@ -80,7 +80,7 @@ def _zero_mode_expectation(zero_word, field: GridField) -> complex:
         if tok[0] == "x":
             value = field.x * value
         else:
-            value = -1j * _gradient(value, h)
+            value = -1j * np.gradient(value, h)
     return complex(np.trapezoid(np.conj(psi) * value, dx=h))
 
 

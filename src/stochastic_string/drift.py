@@ -7,6 +7,10 @@ ground-state variance 2*alpha'/n. The zero mode is a free momentum
 eigenstate: it has no normalizable stationary density and contributes a
 constant current velocity 2*alpha'*kappa.
 
+An excited state is its nodes: with xi = beta*q, H_k(xi) = 2^k prod_i (xi - xi_i)
+over the zeros xi_i of H_k, so (log rho)' has one pole per node (Nelson,
+Phys. Rev. 150, 1079 (1966)).
+
 The drift decomposes into an osmotic part u = nu * rho'/rho and a current
 part v = 2*nu * S'; the forward drift entering the SDE is v + u, evaluated
 by ``StationaryModeState.forward_drift_array``.
@@ -23,19 +27,12 @@ import numpy as np
 from .core import StringParams, ValidationError
 
 
+# |forward drift| beyond this is clamped and counted; read at every call
+_DRIFT_CAP = 1.0e6
+
+
 class UnsupportedStateError(ValidationError):
     """Requested quantity is not defined for this state (e.g. zero-mode density)."""
-
-
-def hermite_value_and_derivative(k: int, xi: np.ndarray | float):
-    """Physicists' Hermite H_k and H_k' by upward recurrence."""
-    h_prev = np.ones_like(np.asarray(xi, dtype=float))
-    if k == 0:
-        return h_prev, np.zeros_like(h_prev)
-    h = 2.0 * np.asarray(xi, dtype=float)
-    for j in range(1, k):
-        h, h_prev = 2.0 * xi * h - 2.0 * j * h_prev, h
-    return h, 2.0 * k * h_prev
 
 
 @dataclass(frozen=True)
@@ -83,13 +80,21 @@ class StationaryModeState:
         """Ground-state standard deviation sqrt(2*alpha'/n)."""
         return math.sqrt(2.0 * self.params.alpha_prime / self.n)
 
-    def nodes(self) -> np.ndarray:
-        """Zeros of the stationary density, in increasing order."""
-        if self.n == 0 or self.k == 0:
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """Zeros xi_i of H_k in increasing order, in the scaled coordinate xi = beta*q."""
+        if self.k == 0:
+            # H_0 = 1 has none; a ground-state run then never loads numpy.polynomial
             return np.empty(0)
         coeffs = np.zeros(self.k + 1)
         coeffs[-1] = 1.0
-        return np.sort(np.polynomial.hermite.hermroots(coeffs)) / self.scale
+        return np.sort(np.polynomial.hermite.hermroots(coeffs))
+
+    def nodes(self) -> np.ndarray:
+        """Zeros of the stationary density, in increasing order."""
+        if self.n == 0:
+            return np.empty(0)
+        return self._roots / self.scale
 
     def density(self, x):
         """Stationary probability density, normalized to 1 on the line."""
@@ -99,30 +104,33 @@ class StationaryModeState:
             )
         beta = self.scale
         xi = beta * np.asarray(x, dtype=float)
-        h, _ = hermite_value_and_derivative(self.k, xi)
-        norm = beta / (math.sqrt(math.pi) * 2.0**self.k * math.factorial(self.k))
-        out = norm * h**2 * np.exp(-(xi**2))
+        norm = beta * 2.0**self.k / (math.sqrt(math.pi) * math.factorial(self.k))
+        out = norm * np.exp(-(xi**2))
+        for root in self._roots:
+            out = out * (xi - root) ** 2
         return out if out.ndim else float(out)
 
     def log_density_gradient(self, x):
-        """d(log rho)/dx, evaluated analytically (no density underflow)."""
+        """d(log rho)/dx = beta (2 sum_i 1/(xi - xi_i) - 2 xi): one pole per node."""
         if self.n == 0:
             raise UnsupportedStateError("zero mode density is uniform")
         beta = self.scale
         xi = beta * np.asarray(x, dtype=float)
-        h, dh = hermite_value_and_derivative(self.k, xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = beta * (2.0 * dh / h - 2.0 * xi)
+        poles = 0.0
+        for root in self._roots:
+            with np.errstate(divide="ignore"):  # infinite exactly at the node
+                poles = poles + 1.0 / (xi - root)
+        grad = beta * (2.0 * poles - 2.0 * xi)
         return grad if grad.ndim else float(grad)
 
-    def forward_drift_array(self, x: np.ndarray, cap: float = 1.0e6):
+    def forward_drift_array(self, x: np.ndarray):
         """Forward drift v_plus = v + u feeding the mode SDE, clamped.
 
         Real oscillator states carry no current, so for n >= 1 this is the
         osmotic part nu * (log rho)'; the zero mode has only the current
         part 2*alpha'*kappa. Returns ``(drift, n_clamped)``: values outside
-        [-cap, cap] (including the infinities produced exactly at nodes) are
-        clamped and counted.
+        [-_DRIFT_CAP, _DRIFT_CAP] (including the infinities produced exactly
+        at nodes) are clamped and counted.
         Nelson diffusions never cross a node, so the clamp only regularizes
         rare near-node evaluations in a discrete-time integrator (which can
         still step across a node; ``sde.simulate`` counts those crossings).
@@ -130,15 +138,10 @@ class StationaryModeState:
         x = np.asarray(x, dtype=float)
         if self.n == 0:
             return np.full_like(x, 2.0 * self.params.alpha_prime * self.momentum), 0
-        if self.k == 0:
-            # log_density_gradient's k = 0 operations in its order (H_0 = 1,
-            # H_0' = 0), so the values are bit-identical to the general path
-            beta = self.scale
-            drift = self.nu * (beta * (0.0 - 2.0 * (beta * x)))
-            if np.all(np.abs(drift) <= cap):
-                return drift, 0
-        else:
-            drift = self.nu * self.log_density_gradient(x)
+        cap = _DRIFT_CAP
+        drift = self.nu * self.log_density_gradient(x)
+        if np.all(np.abs(drift) <= cap):
+            return drift, 0
         n_clamped = int(np.count_nonzero(~(np.abs(drift) <= cap)))
         drift = np.nan_to_num(drift, nan=cap, posinf=cap, neginf=-cap)
         return np.clip(drift, -cap, cap), n_clamped

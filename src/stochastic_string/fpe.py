@@ -86,14 +86,6 @@ def stationary_field(
     return GridField(x_min, x_max, rho, S)
 
 
-def _gradient(y: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2 * h)
-    out[0] = (y[1] - y[0]) / h
-    out[-1] = (y[-1] - y[-2]) / h
-    return out
-
-
 def _second_difference(y: np.ndarray, h: float) -> np.ndarray:
     """Central second difference on the interior points."""
     return (y[2:] - 2 * y[1:-1] + y[:-2]) / h**2
@@ -187,9 +179,9 @@ def continuity_residual(field: GridField, params: StringParams, n: int) -> float
     """
     nu = params.diffusion(n)
     h = field.h
-    v = 2.0 * nu * _gradient(field.S, h)
+    v = 2.0 * nu * np.gradient(field.S, h)
     flux = field.rho * v
-    divergence = _gradient(flux, h)[1:-1]
+    divergence = np.gradient(flux, h)[1:-1]
     return float(np.max(np.abs(divergence)))
 
 
@@ -228,11 +220,11 @@ def madelung_residual(
     # equation when either stencil does.
     with np.errstate(divide="ignore", invalid="ignore"):
         R = 0.5 * np.log(field.rho)
-        dR = _gradient(R, h)[1:-1]
+        dR = np.gradient(R, h)[1:-1]
         log_form = dR**2 + _second_difference(R, h)
         amp = np.sqrt(field.rho)
         amp_form = _second_difference(amp, h) / amp[1:-1]
-    dS = _gradient(field.S, h)[1:-1]
+    dS = np.gradient(field.S, h)[1:-1]
     xin = field.x[1:-1]
     rest = -energy + 2.0 * ap * dS**2 + state.n**2 * xin**2 / (8.0 * ap)
     residual = np.minimum(

@@ -166,31 +166,30 @@ def fit_log_slope(estimates: Sequence[CorrelatorEstimate]) -> float:
 
 
 def summed_correlator(
-    products: Mapping[tuple[int, int], LagProducts], delta_tau: float
+    params: StringParams, estimates: Mapping[tuple[int, int], CorrelatorEstimate]
 ) -> tuple[float, float]:
     """Sum of per-(mode, direction) correlator estimates at one lag.
 
-    ``products`` maps every (mode n = 1..mode_cutoff, transverse
-    direction) to the ``LagProducts`` filled by its ground-state run, each
-    summing the lag ``delta_tau``; returns (value, standard_error) with the
-    errors of independent runs combined in quadrature.
+    ``estimates`` maps every (mode n = 1..mode_cutoff, transverse
+    direction) to the estimate of its ground-state run, all at the same
+    lag ``delta_tau``; returns (value, standard_error) with the errors of
+    independent runs combined in quadrature.
     """
-    if not products:
-        raise MissingModeError("no correlator sums supplied")
-    params = next(iter(products.values())).state.params
     required = {
         (n, i)
         for n in range(1, params.mode_cutoff + 1)
         for i in range(1, params.transverse_count + 1)
     }
-    missing = sorted(required - set(products))
+    missing = sorted(required - set(estimates))
     if missing:
         raise MissingModeError(f"missing (mode, direction) runs: {missing[:8]}")
+    taus = sorted({est.delta_tau for est in estimates.values()})
+    if taus[-1] - taus[0] > 1.0e-9:
+        raise ValidationError(f"estimates at different delta_tau {taus[0]} and {taus[-1]}")
 
     total = 0.0
     variance = 0.0
-    for part in products.values():
-        est = part.estimate(recorded_lag(delta_tau, part.d_tau * part.record_stride))
+    for est in estimates.values():
         total += est.value
         variance += est.standard_error**2
     return total, math.sqrt(variance)

@@ -64,7 +64,7 @@ class Ensemble:
 
     ``samples[j, t]`` is trajectory j at recorded index t; recorded indices
     are ``record_stride`` integration steps apart. ``clamp_events`` counts
-    drift evaluations limited by the configured cap; ``node_crossings``
+    drift evaluations limited by ``drift._DRIFT_CAP``; ``node_crossings``
     counts (trajectory, step) pairs whose amplitude moved across a node of
     the stationary density between consecutive integration steps (the
     continuous diffusion never does; the discrete integrator can).
@@ -147,7 +147,6 @@ def simulate(
     count: int = 1000,
     seed: int = 0,
     record_stride: int = 1,
-    drift_cap: float = 1.0e6,
     observe: Observer | None = None,
 ) -> Ensemble:
     """Euler-Maruyama ensemble for mode ``n``, transverse direction ``i``.
@@ -164,7 +163,8 @@ def simulate(
     Only every ``record_stride``-th step is stored. ``observe``, if given,
     is called as ``observe(t, column)`` with every full-resolution column
     of each trajectory chunk, t = 0..steps, whatever ``record_stride`` is;
-    a column is never modified after the call. With ``record_stride =
+    a column is never modified after the call, and an observer's ``d_tau``,
+    if it has one, must be the run's. With ``record_stride =
     steps`` and an observer, memory is bounded by ``count`` however large
     ``steps`` is.
     """
@@ -180,6 +180,7 @@ def simulate(
     if steps % record_stride != 0:
         raise ValidationError("record_stride must divide steps")
     mode_state = _resolve_state(params, state, n, i)
+    _check_observer_d_tau(observe, d_tau)
 
     draw_initial = _initial_sampler(mode_state, init)
     nodes = mode_state.nodes()
@@ -212,7 +213,7 @@ def simulate(
         # finiteness is checked explicitly each step; let overflows reach it
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps):
-                drift, clamped = mode_state.forward_drift_array(q, cap=drift_cap)
+                drift, clamped = mode_state.forward_drift_array(q)
                 clamp_events += clamped
                 q = q + drift * d_tau + noise_scale * noise[:, t]
                 bad = ~np.isfinite(q)
@@ -293,6 +294,13 @@ def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:
     return float(dq.mean()), float(dq.var(ddof=1))
 
 
+def _check_observer_d_tau(observer: Observer | None, d_tau: float) -> None:
+    """An observer that carries a ``d_tau`` (rates divide by it) must share the run's."""
+    observed = getattr(observer, "d_tau", d_tau)
+    if observed != d_tau:
+        raise ValidationError(f"run d_tau = {d_tau} differs from the observer's d_tau = {observed}")
+
+
 def replay(ensemble: Ensemble, observer: Observer) -> None:
     """Feed a stored ensemble to ``observer`` as ``simulate(observe=...)`` would.
 
@@ -302,12 +310,9 @@ def replay(ensemble: Ensemble, observer: Observer) -> None:
     so sums taken per chunk are bit-identical to the same run streamed.
     Each chunk is read ``_REPLAY_COLUMNS`` columns at a time through one
     transposed copy, so every column handed on is contiguous. The
-    observer's ``d_tau`` must be the run's.
+    observer's ``d_tau``, if it has one, must be the run's.
     """
-    if ensemble.d_tau != observer.d_tau:
-        raise ValidationError(
-            f"ensemble d_tau = {ensemble.d_tau} differs from the observer's {observer.d_tau}"
-        )
+    _check_observer_d_tau(observer, ensemble.d_tau)
     samples = ensemble.samples
     chunk = _chunk_size(ensemble.steps)
     for start in range(0, ensemble.count, chunk):

@@ -94,18 +94,20 @@ def test_criterion_03_summed_correlator():
         stride = 25
         steps = 2200
         lag = observables.recorded_lag(1.0, 1e-3 * stride)
-        products = {}
+        # each run's observer is read and dropped before the next run
+        estimates = {}
         for n in range(1, 7):
             for i in range(1, 25):
-                products[n, i] = observables.LagProducts(
+                products = observables.LagProducts(
                     StationaryModeState(PARAMS, n), 1e-3, stride, [lag]
                 )
                 sde.simulate(
                     PARAMS, GROUND, n, i, d_tau=1e-3, steps=steps, count=3000,
                     seed=sde.spawn_seed(MASTER_SEED, n, i), record_stride=steps,
-                    observe=products[n, i],
+                    observe=products,
                 )
-        total, stderr = observables.summed_correlator(products, 1.0)
+                estimates[n, i] = products.estimate(lag)
+        total, stderr = observables.summed_correlator(PARAMS, estimates)
         assert abs(total - expected) <= 0.05 * expected, (
             f"summed correlator {total} vs {expected} (se {stderr})"
         )

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermder, hermval
 from scipy.integrate import quad
 
+from stochastic_string import drift as drift_module
 from stochastic_string.core import StringParams
 from stochastic_string.drift import StationaryModeState, UnsupportedStateError
 
@@ -102,26 +104,56 @@ def test_forward_drift_zero_mode(params):
         assert drift_at(state, x) == pytest.approx(3.0)
 
 
-def test_forward_drift_array_clamps_and_counts(params):
+def test_forward_drift_array_clamps_and_counts(params, monkeypatch):
+    monkeypatch.setattr(drift_module, "_DRIFT_CAP", 100.0)
     state = StationaryModeState(params, 1, 1)
-    drift, clamped = state.forward_drift_array(np.array([0.0, 1e-9, 1.0]), cap=100.0)
+    drift, clamped = state.forward_drift_array(np.array([0.0, 1e-9, 1.0]))
     assert clamped == 2
     assert np.all(np.abs(drift) <= 100.0)
     assert np.all(np.isfinite(drift))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_ground_state_drift_bit_identical_to_log_gradient(params, n):
+def test_ground_state_drift_bit_identical_to_log_gradient(params, monkeypatch, n):
     state = StationaryModeState(params, n, 0)
     x = np.random.default_rng(n).normal(0.0, 3.0, 5000)
     x[:2] = (0.0, -0.0)
     drift, clamped = state.forward_drift_array(x)
     assert clamped == 0
     assert drift.tobytes() == (state.nu * state.log_density_gradient(x)).tobytes()
-    drift, clamped = state.forward_drift_array(np.array([0.5, 1e7, -1e7, np.nan]), cap=1e6)
+    # no node, so no pole: the Gaussian's own expressions, bit for bit
+    beta = state.scale
+    xi = beta * x
+    norm = beta / math.sqrt(math.pi)
+    assert drift.tobytes() == (state.nu * (beta * (0.0 - 2.0 * (beta * x)))).tobytes()
+    assert state.density(x).tobytes() == (norm * np.exp(-(xi**2))).tobytes()
+    monkeypatch.setattr(drift_module, "_DRIFT_CAP", 1e6)
+    drift, clamped = state.forward_drift_array(np.array([0.5, 1e7, -1e7, np.nan]))
     assert clamped == 3
     assert drift[0] == state.nu * state.log_density_gradient(0.5)
     assert np.array_equal(drift[1:], [-1e6, 1e6, 1e6])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_excited_drift_and_density_match_hermite_series(params, k):
+    # oracle: numpy's Hermite series for H_k and H_k', away from the nodes
+    state = StationaryModeState(params, 2, k)
+    beta = state.scale
+    x = np.linspace(-6.0, 6.0, 12_001) / beta
+    x = x[np.min(np.abs(x[:, None] - state.nodes()), axis=1) >= 1e-3]
+    xi = beta * x
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    h = hermval(xi, coeffs)
+    dh = hermval(xi, hermder(coeffs))
+    norm = beta / (math.sqrt(math.pi) * 2.0**k * math.factorial(k))
+    expected_density = norm * h**2 * np.exp(-(xi**2))
+    expected_drift = state.nu * beta * (2.0 * dh / h - 2.0 * xi)
+    drift, clamped = state.forward_drift_array(x)
+    assert clamped == 0
+    for got, expected in ((drift, expected_drift), (state.density(x), expected_density)):
+        bound = np.where(expected == 0.0, 1e-12, 1e-9 * np.abs(expected))
+        assert np.all(np.abs(got - expected) <= bound)
 
 
 def test_energy(params):

@@ -9,6 +9,7 @@ from stochastic_string.core import ModeStateSpec, StringParams, ValidationError
 from stochastic_string.drift import StationaryModeState
 from stochastic_string import observables, sde
 from stochastic_string.observables import (
+    CorrelatorEstimate,
     ExcitedStateError,
     LagProducts,
     MissingModeError,
@@ -132,18 +133,26 @@ def test_summed_correlator_sums_parts_exactly(monkeypatch):
                     se = per_traj.std(ddof=1) / math.sqrt(len(per_traj))
                     assert est.standard_error == pytest.approx(se, rel=1e-12)
                 parts.append(correlator_at_lag(stored, lags[1]).value)
-        total, err = summed_correlator(streamed, 1.0)
+        estimates = {key: products.estimate(lags[1]) for key, products in streamed.items()}
+        total, err = summed_correlator(params, estimates)
         assert total == sum(parts)
         assert err > 0
 
 
 def test_summed_correlator_missing_mode():
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
-    state = StationaryModeState(params, 1)
     with pytest.raises(MissingModeError):
-        summed_correlator({(1, i): LagProducts(state, 1e-2, 10, [5]) for i in (1, 2)}, 0.5)
+        summed_correlator(params, {(1, i): CorrelatorEstimate(1, 0.5, 1.0, 0.1) for i in (1, 2)})
     with pytest.raises(MissingModeError):
-        summed_correlator({}, 0.5)
+        summed_correlator(params, {})
+
+
+def test_summed_correlator_rejects_mixed_lags():
+    params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
+    estimates = {(n, i): CorrelatorEstimate(n, 0.5, 1.0, 0.1) for n in (1, 2) for i in (1, 2)}
+    estimates[2, 2] = CorrelatorEstimate(2, 0.6, 1.0, 0.1)
+    with pytest.raises(ValidationError, match="delta_tau"):
+        summed_correlator(params, estimates)
 
 
 def test_reconstruct_string_trivial_cases():

@@ -6,7 +6,7 @@ import pytest
 
 from stochastic_string.core import ModeStateSpec, ValidationError
 from stochastic_string.drift import StationaryModeState
-from stochastic_string import sde
+from stochastic_string import drift, sde
 from stochastic_string.sde import (
     InsufficientSamplesError,
     increment_moments,
@@ -269,7 +269,8 @@ def test_second_law_memory_independent_of_steps(params, ground_spec, monkeypatch
 )
 def test_simulate_independent_of_noise_buffer_size(params, monkeypatch, spec):
     # a low cap and a coarse step make both counters fire (k=1: 94 clamps, 2 crossings)
-    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3, drift_cap=0.5)
+    monkeypatch.setattr(drift, "_DRIFT_CAP", 0.5)
+    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3)
     whole = simulate(params, spec, 1, 1, **kwargs)
     assert whole.clamp_events > 0
     monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)  # chunks of 3, 3, 3, 1 trajectories
@@ -294,9 +295,11 @@ def test_rekeyed_stream_equals_fresh_philox(seed, index):
     assert np.array_equal(rng.integers(0, 2**40, 5), fresh.integers(0, 2**40, 5))
 
 
-def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, seed, drift_cap=1.0e6):
+def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, seed):
     """Euler-Maruyama with a freshly built Philox stream per trajectory and
-    the general Hermite drift: the arithmetic ``simulate`` must reproduce."""
+    the log-density gradient clamped at 1e6: the arithmetic ``simulate``
+    must reproduce."""
+    cap = 1.0e6
     state = sde._resolve_state(params, spec, n, i)
     q = np.empty(count)
     noise = np.empty((count, steps))
@@ -316,8 +319,8 @@ def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, se
             drift = np.full_like(q, 2.0 * params.alpha_prime * state.momentum)
         else:
             drift = state.nu * state.log_density_gradient(q)
-            drift = np.nan_to_num(drift, nan=drift_cap, posinf=drift_cap, neginf=-drift_cap)
-            drift = np.clip(drift, -drift_cap, drift_cap)
+            drift = np.nan_to_num(drift, nan=cap, posinf=cap, neginf=-cap)
+            drift = np.clip(drift, -cap, cap)
         q = q + drift * d_tau + scale * noise[:, t]
         samples.append(q)
     return np.column_stack(samples)
@@ -377,11 +380,11 @@ def test_start_on_node_names_first_trajectory(params):
         simulate(params, excited, 1, 1, init=second_nan, d_tau=1e-3, steps=2, count=5)
 
 
-def test_non_finite_detection(params, ground_spec):
+def test_non_finite_detection(params, ground_spec, monkeypatch):
+    monkeypatch.setattr(drift, "_DRIFT_CAP", np.inf)
     with pytest.raises(sde.NonFiniteSampleError) as err:
         simulate(
-            params, ground_spec, 1, 1, init=1e300, d_tau=10.0, steps=50, count=2,
-            seed=1, drift_cap=np.inf,
+            params, ground_spec, 1, 1, init=1e300, d_tau=10.0, steps=50, count=2, seed=1,
         )
     assert err.value.trajectory >= 0
     assert err.value.step > 0
@@ -464,6 +467,11 @@ def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, back
     assert streamed.counts.sum() > 0
     with pytest.raises(ValidationError, match="d_tau"):
         sde.replay(ens, sde.RateBins(F, probe, 0.25, 2e-3, backward))
+    # streaming checks the observer's d_tau as replay does; a plain callable has none
+    with pytest.raises(ValidationError, match="d_tau"):
+        simulate(params, ground_spec, 1, 1, observe=sde.RateBins(F, probe, 0.25, 2e-3, backward),
+                 **kwargs)
+    sde.replay(ens, lambda t, col: None)
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
@@ -502,7 +510,8 @@ def test_observer_sees_every_step_of_each_chunk(params, ground_spec, monkeypatch
     "spec", [ModeStateSpec(), ModeStateSpec(occupations={(1, 1): 1})], ids=["k0", "k1"]
 )
 def test_observer_leaves_run_unchanged(params, monkeypatch, spec):
-    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3, drift_cap=0.5)
+    monkeypatch.setattr(drift, "_DRIFT_CAP", 0.5)
+    kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3)
     monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)
     plain = simulate(params, spec, 1, 1, **kwargs)
     observed = simulate(params, spec, 1, 1, observe=lambda t, col: None, **kwargs)
