@@ -12,15 +12,16 @@ this fixes the sign convention of the correspondence once and for all.)
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from ..core import ModeStateSpec, ValidationError
 from ..fpe import GridField
-from .fock import diagonal_ladder_expectation
-from .operators import OperatorExpr, commutator
+from .operators import OperatorExpr, Word, commutator
 
 
 class UnsupportedExpectationError(ValidationError):
@@ -64,6 +65,36 @@ def _split_word(word):
     for tok in word:
         (ladder if tok[0] in ("c", "a") else zero).append(tok)
     return tuple(ladder), tuple(zero)
+
+
+def diagonal_ladder_expectation(word: Word, occupations: dict[tuple[int, int], int]):
+    """<K| word |K> for a canonical pure-ladder word in a number state.
+
+    Per (mode, direction) the word contributes a falling factorial
+    k (k-1) ... (k-r+1) when it holds r matched creator/annihilator pairs,
+    and zero when the counts differ.
+    """
+    creators: Counter = Counter()
+    annihilators: Counter = Counter()
+    for tok in word:
+        if tok[0] == "c":
+            creators[(tok[1], tok[2])] += 1
+        elif tok[0] == "a":
+            annihilators[(tok[1], tok[2])] += 1
+        else:
+            raise ValueError(f"not a pure ladder word: {word!r}")
+    if set(creators) != set(annihilators):
+        return Fraction(0)
+    value = Fraction(1)
+    for key, r in annihilators.items():
+        if creators[key] != r:
+            return Fraction(0)
+        k = occupations.get(key, 0)
+        for step in range(r):
+            value *= k - step
+        if value == 0:
+            return Fraction(0)
+    return value
 
 
 def _zero_mode_expectation(zero_word, field: GridField) -> complex:

@@ -232,19 +232,25 @@ def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
         return tuple(word.count(t) for t in tokens), len(word) % 2
 
     targets = [(w, *signature(w)) for w in wanted or ()]
+
+    @lru_cache(maxsize=None)
+    def reach(sig1, sig2):  # the wanted words a pair with these signatures can reach
+        (n1, parity1), (n2, parity2) = sig1, sig2
+        return [
+            w for w, need, parity in targets
+            if (parity1 + parity2) % 2 == parity
+            and all(x + y >= k for x, y, k in zip(n1, n2, need))
+        ]
+
     groups: dict[tuple | None, list] = {}  # B's words, by signature when pruning
     for w, c in B.terms.items():
         key = None if wanted is None else signature(w)
         groups.setdefault(key, []).append((w, c, _word_profile(w)))
     out: dict[Word, Coeff] = {}
     for w1, c1 in A.terms.items():
-        prof1, (n1, parity1) = _word_profile(w1), signature(w1)
+        prof1, sig1 = _word_profile(w1), signature(w1)
         for key, items in groups.items():
-            reachable = None if key is None else [
-                w for w, need, parity in targets
-                if (parity1 + key[1]) % 2 == parity
-                and all(x + y >= k for x, y, k in zip(n1, key[0], need))
-            ]
+            reachable = None if key is None else reach(sig1, key)
             if reachable == []:
                 continue
             for w2, c2, prof2 in items:

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 _ZERO = (Fraction(0), Fraction(0))
+# entries of each arithmetic memo below; one anomaly run needs a few hundred
+_CACHE_SIZE = 1 << 17
 
 
 def exact_fraction(value) -> Fraction:
@@ -38,10 +41,54 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-class Coeff:
-    """Immutable exact coefficient; see module docstring for the form."""
+# Coeff's memoized arithmetic, bound as its methods below: equal calls share one result
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sqrt(value) -> Coeff:
+    """Exact square root of a positive rational."""
+    fr = Fraction(value)
+    s, f = squarefree_split(fr.numerator * fr.denominator)
+    return Coeff({f: (Fraction(s, fr.denominator), Fraction(0))})
 
-    __slots__ = ("terms",)
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sum(a: Coeff, b: Coeff) -> Coeff:
+    out = dict(a.terms)
+    for key, (re, im) in b.terms.items():
+        cre, cim = out.get(key, _ZERO)
+        out[key] = (cre + re, cim + im)
+    return Coeff(out)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _product(a: Coeff, b: Coeff) -> Coeff:
+    out: dict[int, tuple[Fraction, Fraction]] = {}
+    for r1, (re1, im1) in a.terms.items():
+        for r2, (re2, im2) in b.terms.items():
+            # squarefree r1, r2: r1 r2 = s^2 f with s = gcd and f squarefree
+            s = math.gcd(r1, r2)
+            f = (r1 // s) * (r2 // s)
+            re = s * (re1 * re2 - im1 * im2)
+            im = s * (re1 * im2 + im1 * re2)
+            cre, cim = out.get(f, _ZERO)
+            out[f] = (cre + re, cim + im)
+    return Coeff(out)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _scaled(a: Coeff, value) -> Coeff:
+    fr = Fraction(value)
+    return Coeff({k: (re * fr, im * fr) for k, (re, im) in a.terms.items()})
+
+
+class Coeff:
+    """Exact coefficient; see module docstring for the form.
+
+    Immutable: nothing writes ``terms`` after construction. Sums, products,
+    ``scale`` and ``sqrt`` are memoized, so equal calls share one result
+    object, and the hash is computed once on first use.
+    """
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
         cleaned = {}
@@ -50,6 +97,7 @@ class Coeff:
                 if re or im:
                     cleaned[key] = (re, im)
         self.terms = cleaned
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -66,20 +114,10 @@ class Coeff:
         fr = Fraction(value)
         return Coeff({1: (Fraction(0), fr)})
 
-    @staticmethod
-    def sqrt(value) -> "Coeff":
-        """Exact square root of a positive rational."""
-        fr = Fraction(value)
-        s, f = squarefree_split(fr.numerator * fr.denominator)
-        return Coeff({f: (Fraction(s, fr.denominator), Fraction(0))})
+    sqrt = staticmethod(_sqrt)
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "Coeff") -> "Coeff":
-        out = dict(self.terms)
-        for key, (re, im) in other.terms.items():
-            cre, cim = out.get(key, _ZERO)
-            out[key] = (cre + re, cim + im)
-        return Coeff(out)
+    __add__ = _sum
 
     def __neg__(self) -> "Coeff":
         return Coeff({k: (-re, -im) for k, (re, im) in self.terms.items()})
@@ -87,22 +125,8 @@ class Coeff:
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        out: dict[int, tuple[Fraction, Fraction]] = {}
-        for r1, (re1, im1) in self.terms.items():
-            for r2, (re2, im2) in other.terms.items():
-                # squarefree r1, r2: r1 r2 = s^2 f with s = gcd and f squarefree
-                s = math.gcd(r1, r2)
-                f = (r1 // s) * (r2 // s)
-                re = s * (re1 * re2 - im1 * im2)
-                im = s * (re1 * im2 + im1 * re2)
-                cre, cim = out.get(f, _ZERO)
-                out[f] = (cre + re, cim + im)
-        return Coeff(out)
-
-    def scale(self, value) -> "Coeff":
-        fr = Fraction(value)
-        return Coeff({k: (re * fr, im * fr) for k, (re, im) in self.terms.items()})
+    __mul__ = _product
+    scale = _scaled
 
     def conjugate(self) -> "Coeff":
         return Coeff({k: (re, -im) for k, (re, im) in self.terms.items()})
@@ -115,7 +139,9 @@ class Coeff:
         return isinstance(other, Coeff) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def as_gaussian(self) -> tuple[Fraction, Fraction]:
         """Collapse to (re, im) Fractions; requires no radicals."""

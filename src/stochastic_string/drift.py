@@ -88,7 +88,12 @@ class StationaryModeState:
             return np.empty(0)
         coeffs = np.zeros(self.k + 1)
         coeffs[-1] = 1.0
-        return np.sort(np.polynomial.hermite.hermroots(coeffs))
+        roots = np.sort(np.polynomial.hermite.hermroots(coeffs))
+        if self.k % 2:
+            # H_k is odd, so its middle zero is exactly 0, where hermroots is
+            # ~1e-16 off for k >= 3 (and gives -0.0 for k = 1)
+            roots[self.k // 2] = -0.0
+        return roots
 
     def nodes(self) -> np.ndarray:
         """Zeros of the stationary density, in increasing order."""

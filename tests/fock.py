@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .operators import OperatorExpr, Word
-from .scalars import Coeff, ONE
+from stochastic_string.algebra.operators import OperatorExpr
+from stochastic_string.algebra.scalars import Coeff, ONE
 
 GF = tuple[Fraction, Fraction]
 StateKey = tuple[tuple, tuple]
@@ -217,35 +217,3 @@ def commutator_application(
         ore, oim = out.get(key, (Fraction(0), Fraction(0)))
         out[key] = (ore - re, oim - im)
     return {k: v for k, v in out.items() if v[0] or v[1]}
-
-
-def diagonal_ladder_expectation(word: Word, occupations: dict[tuple[int, int], int]):
-    """<K| word |K> for a canonical pure-ladder word in a number state.
-
-    Per (mode, direction) the word contributes a falling factorial
-    k (k-1) ... (k-r+1) when it holds r matched creator/annihilator pairs,
-    and zero when the counts differ.
-    """
-    from collections import Counter
-
-    creators: Counter = Counter()
-    annihilators: Counter = Counter()
-    for tok in word:
-        if tok[0] == "c":
-            creators[(tok[1], tok[2])] += 1
-        elif tok[0] == "a":
-            annihilators[(tok[1], tok[2])] += 1
-        else:
-            raise ValueError(f"not a pure ladder word: {word!r}")
-    if set(creators) != set(annihilators):
-        return Fraction(0)
-    value = Fraction(1)
-    for key, r in annihilators.items():
-        if creators[key] != r:
-            return Fraction(0)
-        k = occupations.get(key, 0)
-        for step in range(r):
-            value *= k - step
-        if value == 0:
-            return Fraction(0)
-    return value

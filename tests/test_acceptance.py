@@ -15,7 +15,7 @@ import pytest
 from stochastic_string.core import ModeStateSpec, StringParams
 from stochastic_string.drift import StationaryModeState
 from stochastic_string import algebra, fpe, observables, sde
-from stochastic_string.algebra.fock import (
+from fock import (
     AuxOscillator,
     apply_expr,
     basis_state,

@@ -4,7 +4,7 @@ import pytest
 
 from stochastic_string.core import ModeStateSpec, StringParams
 from stochastic_string.fpe import gaussian_field
-from stochastic_string.algebra.fock import (
+from fock import (
     AuxOscillator,
     apply_expr,
     basis_state,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochastic_string.algebra.fock import (
+from fock import (
     AuxOscillator,
     apply_expr,
     basis_state,

@@ -10,6 +10,8 @@ import pytest
 from stochastic_string.cli import (
     EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, _build_parser, _merge_config, run,
 )
+from stochastic_string.core import StringParams
+from stochastic_string.drift import StationaryModeState
 
 _COMMON = {
     "-h", "--help", "--config", "--alpha-prime", "--dims", "--mode-cutoff", "--p-plus",
@@ -129,6 +131,22 @@ def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_VALIDATION
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_start_on_middle_node_exit_code(tmp_path, capsys, k):
+    # H_k is odd for odd k, so q = 0 is exactly a node
+    code = run(["simulate", "--n", "1", "--k", str(k), "--init", "0", "-M", "3", "--steps", "3",
+                "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert "drift undefined at q_0=0.0 (density node), trajectory 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_odd_state_density_vanishes_at_origin(k):
+    state = StationaryModeState(StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6), 1, k)
+    assert state.density(0.0) == 0.0
+    assert 0.0 in state.nodes()
 
 
 def test_anomaly_command(tmp_path, capsys):
