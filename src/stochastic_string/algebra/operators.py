@@ -17,14 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Coeff, ONE
+from .scalars import Coeff, ONE, ZERO
 
 Token = tuple
 Word = tuple
 
 _CLASS = {"c": 0, "x": 1, "p": 2, "a": 3}
-_ZERO = (Fraction(0), Fraction(0))
-_UNIT = (Fraction(1), Fraction(0))
+_MINUS_I = Coeff.imaginary(-1)
 
 
 def creation(n: int, i: int) -> "OperatorExpr":
@@ -55,46 +54,34 @@ def _sort_key(token: Token):
     return (_CLASS[kind], token[1])
 
 
-def _in_order(left: Token, right: Token) -> bool:
-    return _sort_key(left) <= _sort_key(right)
-
-
-def _swap_term(left: Token, right: Token) -> tuple[Fraction, Fraction] | None:
+def _swap_term(left: Token, right: Token) -> Coeff | None:
     """Scalar commutator produced when moving ``left`` past ``right``."""
-    if left[0] == "a" and right[0] == "c":
-        if left[1] == right[1] and left[2] == right[2]:
-            return (Fraction(1), Fraction(0))
-        return None
-    if left[0] == "p" and right[0] == "x":
-        if left[1] == right[1]:
-            return (Fraction(0), Fraction(-1))
-        return None
+    if left[0] == "a" and right[0] == "c" and left[1:] == right[1:]:
+        return ONE
+    if left[0] == "p" and right[0] == "x" and left[1] == right[1]:
+        return _MINUS_I
     return None
 
 
 @lru_cache(maxsize=1 << 17)
-def normal_order_word(word: Word) -> dict[Word, tuple[Fraction, Fraction]]:
-    """Rewrite a product of generators as canonical words with scalar weights."""
-    out: dict[Word, tuple[Fraction, Fraction]] = {}
-    stack: list[tuple[Word, tuple[Fraction, Fraction]]] = [(word, (Fraction(1), Fraction(0)))]
+def normal_order_word(word: Word) -> dict[Word, Coeff]:
+    """Rewrite a product of generators as canonical words with exact weights."""
+    out: dict[Word, Coeff] = {}
+    stack: list[tuple[Word, Coeff]] = [(word, ONE)]
     while stack:
-        w, (re, im) = stack.pop()
+        w, weight = stack.pop()
         for idx in range(len(w) - 1):
             left, right = w[idx], w[idx + 1]
-            if _in_order(left, right):
+            if _sort_key(left) <= _sort_key(right):
                 continue
-            swapped = w[:idx] + (right, left) + w[idx + 2 :]
             extra = _swap_term(left, right)
             if extra is not None:
-                contracted = w[:idx] + w[idx + 2 :]
-                ere, eim = extra
-                stack.append((contracted, (re * ere - im * eim, re * eim + im * ere)))
-            stack.append((swapped, (re, im)))
+                stack.append((w[:idx] + w[idx + 2 :], weight * extra))
+            stack.append((w[:idx] + (right, left) + w[idx + 2 :], weight))
             break
         else:
-            cre, cim = out.get(w, (Fraction(0), Fraction(0)))
-            out[w] = (cre + re, cim + im)
-    return {w: v for w, v in out.items() if v[0] or v[1]}
+            _accumulate(out, w, weight)
+    return out
 
 
 def _word_profile(word: Word):
@@ -135,8 +122,7 @@ class OperatorExpr:
             if coeff.is_zero():
                 continue
             for canon, weight in normal_order_word(word).items():
-                scalar = coeff if weight == _UNIT else coeff * Coeff({1: weight})
-                _accumulate(out, canon, scalar)
+                _accumulate(out, canon, coeff * weight)
         return OperatorExpr(out)
 
     # -- algebra -----------------------------------------------------------
@@ -155,13 +141,9 @@ class OperatorExpr:
         return OperatorExpr({w: c.scale(value) for w, c in self.terms.items()})
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        out: dict[Word, Coeff] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for canon, (re, im) in normal_order_word(w1 + w2).items():
-                    _accumulate(out, canon, c12 * Coeff({1: (re, im)}))
-        return OperatorExpr(out)
+        return OperatorExpr.from_raw_terms(
+            [(c1 * c2, w1 + w2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()]
+        )
 
     def dagger(self) -> "OperatorExpr":
         raw = []
@@ -260,11 +242,9 @@ def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
                 backward = normal_order_word(w2 + w1)
                 c12 = None
                 for w in reachable or [*forward, *(b for b in backward if b not in forward)]:
-                    fre, fim = forward.get(w, _ZERO)
-                    bre, bim = backward.get(w, _ZERO)
-                    dre, dim = fre - bre, fim - bim
-                    if dre or dim:
+                    diff = forward.get(w, ZERO) - backward.get(w, ZERO)
+                    if not diff.is_zero():
                         if c12 is None:
                             c12 = c1 * c2
-                        _accumulate(out, w, c12 * Coeff({1: (dre, dim)}))
+                        _accumulate(out, w, c12 * diff)
     return OperatorExpr(out)

@@ -171,6 +171,7 @@ class Coeff:
         return " + ".join(parts)
 
 
+ZERO = Coeff()
 ONE = Coeff.rational(1)
 
 

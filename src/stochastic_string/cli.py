@@ -231,6 +231,8 @@ def _cmd_fpe_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
+    if not math.isfinite(cfg.energy_offset):
+        raise ValidationError(f"energy_offset must be finite, got {cfg.energy_offset}")
     mode_state = sde._resolve_state(params, _mode_state_spec(cfg, params), cfg.n, cfg.direction)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     energy = mode_state.energy() + cfg.energy_offset

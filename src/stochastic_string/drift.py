@@ -56,6 +56,8 @@ class StationaryModeState:
             raise ValidationError("zero mode has no occupation number")
         if self.n >= 1 and self.k < 0:
             raise ValidationError(f"occupation must be >= 0, got {self.k}")
+        if not math.isfinite(self.momentum):
+            raise ValidationError(f"momentum must be finite, got {self.momentum}")
         if self.n >= 1 and self.momentum != 0.0:
             raise ValidationError("only the zero mode carries momentum")
 

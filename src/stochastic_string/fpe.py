@@ -43,8 +43,7 @@ class GridField:
             raise ValidationError("rho and S must be 1-D arrays of equal length")
         if len(self.rho) < 3:
             raise ValidationError("grid needs at least 3 points")
-        if self.x_max <= self.x_min:
-            raise ValidationError("x_max must exceed x_min")
+        _check_span(self.x_min, self.x_max)
 
     @property
     def points(self) -> int:
@@ -65,7 +64,17 @@ class GridField:
         return replace(self, rho=self.rho / self.mass())
 
 
+def _check_span(x_min: float, x_max: float) -> None:
+    """Reject a grid span that is not finite or not increasing, before any grid is built."""
+    for name, value in (("x_min", x_min), ("x_max", x_max)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    if x_max <= x_min:
+        raise ValidationError("x_max must exceed x_min")
+
+
 def gaussian_field(x_min: float, x_max: float, points: int, mean: float, std: float) -> GridField:
+    _check_span(x_min, x_max)
     x = np.linspace(x_min, x_max, points)
     rho = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
     field = GridField(x_min, x_max, rho, np.zeros_like(x))
@@ -76,6 +85,7 @@ def stationary_field(
     state: StationaryModeState, x_min: float, x_max: float, points: int
 ) -> GridField:
     """GridField holding the analytic stationary (rho, S) of a mode state."""
+    _check_span(x_min, x_max)
     x = np.linspace(x_min, x_max, points)
     if state.n == 0:
         rho = np.full_like(x, 1.0 / (x_max - x_min))

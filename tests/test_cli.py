@@ -377,6 +377,18 @@ def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypat
     (["anomaly", "--p-plus", "inf"], "p_plus"),
     (["anomaly", "--intercept", "inf"], "intercept"),
     (["anomaly", "--intercept", "nan"], "intercept"),
+    (["bracket-check", "--x-min", "nan"], "x_min"),
+    (["bracket-check", "--x-max", "inf"], "x_max"),
+    (["madelung-check", "--x-min", "nan"], "x_min"),
+    (["madelung-check", "--k", "1", "--x-min", "nan"], "x_min"),
+    (["fpe-check", "--x-min", "nan", "-M", "5", "--steps", "5"], "x_min"),
+    (["fpe-check", "--x-max", "inf", "-M", "5", "--steps", "5"], "x_max"),
+    (["madelung-check", "--energy-offset", "nan"], "energy_offset"),
+    (["madelung-check", "--energy-offset", "inf"], "energy_offset"),
+    (["simulate", "--n", "0", "--momentum", "nan", "--init", "0", "-M", "5", "--steps", "5"],
+     "momentum"),
+    (["simulate", "--n", "0", "--momentum", "inf", "--init", "0", "-M", "5", "--steps", "5"],
+     "momentum"),
 ])
 def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
