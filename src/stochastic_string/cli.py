@@ -162,7 +162,10 @@ def _mode_state_spec(cfg: RunConfig, params: StringParams) -> ModeStateSpec:
 def _cmd_simulate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     state = _mode_state_spec(cfg, params)
-    init = cfg.init if cfg.init == "stationary" else float(cfg.init)
+    try:
+        init = cfg.init if cfg.init == "stationary" else float(cfg.init)
+    except ValueError:
+        raise ValidationError(f'init must be "stationary" or a number, got {cfg.init!r}') from None
     ensemble = sde.simulate(
         params, state, cfg.n, cfg.direction,
         init=init, d_tau=cfg.d_tau, steps=cfg.steps, count=cfg.count,
@@ -339,10 +342,33 @@ _COMMANDS = {
 }
 
 
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e1`` as ``--flag=-1e1``: argparse alone reads a number such
+    as ``-1e1`` or ``-inf`` after a flag that takes a value as another flag."""
+    takes_value = {"-M", "--config", "--out"} | {
+        "--" + f.name.replace("_", "-") for f in fields(RunConfig) if f.type != "bool"
+    }
+    bound: list[str] = []
+    for token in argv:
+        if bound and bound[-1] in takes_value and token.startswith("-") and _is_number(token):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
         cfg = _merge_config(args)
         cfg.params().validate()
         try:

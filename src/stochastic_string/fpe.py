@@ -41,9 +41,7 @@ class GridField:
         self.S = np.asarray(self.S, dtype=float)
         if self.rho.shape != self.S.shape or self.rho.ndim != 1:
             raise ValidationError("rho and S must be 1-D arrays of equal length")
-        if len(self.rho) < 3:
-            raise ValidationError("grid needs at least 3 points")
-        _check_span(self.x_min, self.x_max)
+        _check_grid(self.x_min, self.x_max, len(self.rho))
 
     @property
     def points(self) -> int:
@@ -64,17 +62,20 @@ class GridField:
         return replace(self, rho=self.rho / self.mass())
 
 
-def _check_span(x_min: float, x_max: float) -> None:
-    """Reject a grid span that is not finite or not increasing, before any grid is built."""
+def _check_grid(x_min: float, x_max: float, points: int) -> None:
+    """Reject a grid span that is not finite or not increasing, or fewer than 3
+    points, before any grid is built."""
     for name, value in (("x_min", x_min), ("x_max", x_max)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
     if x_max <= x_min:
         raise ValidationError("x_max must exceed x_min")
+    if points < 3:
+        raise ValidationError(f"grid needs at least 3 points, got points = {points}")
 
 
 def gaussian_field(x_min: float, x_max: float, points: int, mean: float, std: float) -> GridField:
-    _check_span(x_min, x_max)
+    _check_grid(x_min, x_max, points)
     x = np.linspace(x_min, x_max, points)
     rho = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
     field = GridField(x_min, x_max, rho, np.zeros_like(x))
@@ -85,7 +86,7 @@ def stationary_field(
     state: StationaryModeState, x_min: float, x_max: float, points: int
 ) -> GridField:
     """GridField holding the analytic stationary (rho, S) of a mode state."""
-    _check_span(x_min, x_max)
+    _check_grid(x_min, x_max, points)
     x = np.linspace(x_min, x_max, points)
     if state.n == 0:
         rho = np.full_like(x, 1.0 / (x_max - x_min))

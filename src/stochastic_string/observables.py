@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import StringParams, ValidationError
 from .drift import StationaryModeState
-from .sde import Ensemble, replay
 
 
 class ExcitedStateError(ValidationError):
@@ -59,18 +58,6 @@ def _standard_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def mode_correlator(ensemble: Ensemble, t: int, t_prime: int) -> CorrelatorEstimate:
-    """Estimate <q(tau_t) q(tau_t')> across trajectories at two recorded indices."""
-    _require_ground_state(ensemble.state)
-    if t < t_prime:
-        raise ValidationError(f"need t >= t_prime, got {t} < {t_prime}")
-    products = ensemble.samples[:, t] * ensemble.samples[:, t_prime]
-    value = float(products.mean())
-    se = _standard_error(products)
-    lag = (t - t_prime) * ensemble.d_tau * ensemble.record_stride
-    return CorrelatorEstimate(ensemble.mode, lag, value, se)
-
-
 def recorded_lag(delta_tau: float, spacing: float) -> int:
     """Recorded columns spanning the lag ``delta_tau``, ``spacing`` apart.
 
@@ -92,8 +79,7 @@ class LagProducts:
     starts a chunk) and records every ``record_stride``-th column into a
     ring buffer of the last max(lags) + 1; each recorded column adds its
     product with the one ``lag`` columns back to that lag's sums. Memory
-    does not grow with ``steps``. Fill it by streaming ``simulate`` or by
-    ``sde.replay`` of a stored run.
+    does not grow with ``steps``. Fill it by streaming ``simulate``.
     """
 
     def __init__(self, state: StationaryModeState, d_tau: float, record_stride: int,
@@ -138,14 +124,7 @@ class LagProducts:
         )
 
 
-def correlator_at_lag(ensemble: Ensemble, lag_steps: int) -> CorrelatorEstimate:
-    """``LagProducts.estimate`` of a stored run at a fixed recorded lag."""
-    products = LagProducts(ensemble.state, ensemble.d_tau, ensemble.record_stride, [lag_steps])
-    replay(ensemble, products)
-    return products.estimate(lag_steps)
-
-
-def analytic_mode_correlator(params: StringParams, n: int, delta_tau: float) -> float:
+def analytic_correlator(params: StringParams, n: int, delta_tau: float) -> float:
     """Per-mode, per-direction stationary correlator (2 alpha'/n) e^{-n dtau}."""
     return 2.0 * params.alpha_prime / n * math.exp(-n * delta_tau)
 
@@ -267,7 +246,7 @@ def correlator_report_rows(
     """Machine-readable correlator table with analytic values and z-scores."""
     rows = []
     for est in estimates:
-        analytic = analytic_mode_correlator(params, est.mode, est.delta_tau)
+        analytic = analytic_correlator(params, est.mode, est.delta_tau)
         z = (est.value - analytic) / est.standard_error if est.standard_error else 0.0
         rows.append(
             {

@@ -9,8 +9,7 @@ bit generator is re-keyed in place, which yields exactly the draws of a
 freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
 building one per trajectory. An observer passed to ``simulate`` sees the
 amplitudes after every step, so a check such as ``RateBins`` can bin a
-run without storing it; ``replay`` feeds a stored ensemble to the same
-observer.
+run without storing it.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ _CHUNK = 4096
 # float64 noise values drawn ahead per trajectory chunk (32 MiB); the chunk
 # floors at one trajectory, so above 2**22 steps the buffer is ``steps`` values
 _NOISE_VALUES = 2**22
-# recorded columns transposed at a time when a stored ensemble is replayed
-_REPLAY_COLUMNS = 64
 
 
 def _chunk_size(steps: int) -> int:
@@ -60,7 +57,7 @@ class InsufficientSamplesError(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """Monte Carlo ensemble of trajectories for one (mode, direction).
+    """Monte Carlo ensemble of trajectories of one mode state.
 
     ``samples[j, t]`` is trajectory j at recorded index t; recorded indices
     are ``record_stride`` integration steps apart. ``clamp_events`` counts
@@ -70,10 +67,7 @@ class Ensemble:
     continuous diffusion never does; the discrete integrator can).
     """
 
-    params: StringParams
     state: StationaryModeState
-    mode: int
-    direction: int
     d_tau: float
     steps: int
     record_stride: int
@@ -230,10 +224,7 @@ def simulate(
                     observe(t + 1, q)
 
     return Ensemble(
-        params=params,
         state=mode_state,
-        mode=n,
-        direction=i,
         d_tau=d_tau,
         steps=steps,
         record_stride=record_stride,
@@ -278,48 +269,11 @@ def _check_initial_drift(nodes: np.ndarray, q0: np.ndarray, offset: int) -> None
         )
 
 
-def increment_moments(ensemble: Ensemble, t: int) -> tuple[float, float]:
-    """Mean and variance of q_{t+1} - q_t across the ensemble.
-
-    As the ensemble grows the mean tends to v_plus * d_tau and the variance
-    to 2 nu_n d_tau + O(d_tau^2). Requires full-resolution recording.
-    """
-    if ensemble.count == 0:
-        raise InsufficientSamplesError("empty ensemble")
-    if ensemble.record_stride != 1:
-        raise ValidationError("increment moments need record_stride == 1")
-    if not 0 <= t < ensemble.recorded_steps:
-        raise ValidationError(f"step {t} out of range 0..{ensemble.recorded_steps - 1}")
-    dq = ensemble.samples[:, t + 1] - ensemble.samples[:, t]
-    return float(dq.mean()), float(dq.var(ddof=1))
-
-
 def _check_observer_d_tau(observer: Observer | None, d_tau: float) -> None:
     """An observer that carries a ``d_tau`` (rates divide by it) must share the run's."""
     observed = getattr(observer, "d_tau", d_tau)
     if observed != d_tau:
         raise ValidationError(f"run d_tau = {d_tau} differs from the observer's d_tau = {observed}")
-
-
-def replay(ensemble: Ensemble, observer: Observer) -> None:
-    """Feed a stored ensemble to ``observer`` as ``simulate(observe=...)`` would.
-
-    Recorded column r goes in as ``observer(r * record_stride, column)``:
-    a strided run reaches the observer at its step numbers, with the steps
-    between them missing. Trajectories go in the chunks ``simulate`` runs,
-    so sums taken per chunk are bit-identical to the same run streamed.
-    Each chunk is read ``_REPLAY_COLUMNS`` columns at a time through one
-    transposed copy, so every column handed on is contiguous. The
-    observer's ``d_tau``, if it has one, must be the run's.
-    """
-    _check_observer_d_tau(observer, ensemble.d_tau)
-    samples = ensemble.samples
-    chunk = _chunk_size(ensemble.steps)
-    for start in range(0, ensemble.count, chunk):
-        for t0 in range(0, samples.shape[1], _REPLAY_COLUMNS):
-            group = samples[start : start + chunk, t0 : t0 + _REPLAY_COLUMNS].T.copy()
-            for t, col in enumerate(group, t0):
-                observer(t * ensemble.record_stride, col)
 
 
 class RateBins:
@@ -420,17 +374,23 @@ def transport_derivative_check(
 ) -> float:
     """Max deviation of the empirical forward transport derivative of a stored run.
 
-    Replays one full-resolution ensemble through ``transport_bins`` and
-    returns ``transport_deviation``: the largest absolute deviation of the
+    Bins one full-resolution ensemble with ``transport_bins`` and returns
+    ``transport_deviation``: the largest absolute deviation of the
     conditional forward difference estimate of D_plus F from
     v_plus F' + nu F''. ``dF`` and ``d2F`` are the exact derivatives of
-    ``F``. Streaming ``transport_bins`` through ``simulate(observe=...)``
-    gives the same value bit for bit without storing the ensemble.
+    ``F``. The stored columns are binned over the trajectory chunks
+    ``simulate`` runs, so streaming ``transport_bins`` through
+    ``simulate(observe=...)`` gives the same value bit for bit without
+    storing the ensemble.
     """
     if ensemble.record_stride != 1:
         raise ValidationError("transport derivatives need record_stride == 1")
     bins = transport_bins(ensemble.state, F, ensemble.d_tau)
-    replay(ensemble, bins)
+    chunk = _chunk_size(ensemble.steps)
+    for start in range(0, ensemble.count, chunk):
+        # one transposed copy per chunk, so that each column binned is contiguous
+        for t, col in enumerate(ensemble.samples[start : start + chunk].T.copy()):
+            bins(t, col)
     return transport_deviation(bins, ensemble.state, dF, d2F)
 
 

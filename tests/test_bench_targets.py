@@ -6,10 +6,14 @@ also count work read from their arguments or results, so a change to what a
 target takes or returns would break the count. The module is loaded
 read-only here: its targets are resolved the way ``install`` resolves them,
 each counter is evaluated on one small real call, and nothing is wrapped.
+The ``simulate_export`` workload's check in ``bench/workloads.py`` also
+reads a stored run (``samples``, ``recorded_taus()``), so it runs here once
+at a small size.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +23,17 @@ from stochastic_string import fpe, sde
 from stochastic_string.core import ModeStateSpec, StringParams
 from stochastic_string.drift import StationaryModeState
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _bench_module(name):
+    """``bench/<name>.py`` as an unexecuted module named ``name``."""
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
+    return importlib.util.module_from_spec(spec)
 
 
-spans = _load_spans()
+spans = _bench_module("spans")
+spans.__spec__.loader.exec_module(spans)
 
 
 @pytest.mark.parametrize(
@@ -91,3 +95,16 @@ def test_traced_counter_reads_its_target(tmp_path, module_name, attr, counts):
     args, kwargs, expected = _small_call(f"{module_name}.{attr}", tmp_path)
     result = target(*args, **kwargs)
     assert counts(args, kwargs, result) == expected()
+
+
+def test_simulate_export_check_reads_the_stored_run(tmp_path, monkeypatch):
+    # workloads imports its sibling ``reference`` by name, and its dataclasses
+    # look their own module up in sys.modules
+    for name in ("reference", "workloads"):
+        module = _bench_module(name)
+        monkeypatch.setitem(sys.modules, name, module)
+        module.__spec__.loader.exec_module(module)
+    workloads = sys.modules["workloads"]
+    (op,) = workloads.build("simulate_export", 3, tmp_path, {"count": 40, "steps": 100})
+    assert op.run() == 0
+    assert op.check(None) == []

@@ -122,10 +122,16 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
      "init gives non-finite q_0=nan, trajectory 0"),
     (["simulate", "--n", "0", "--init", "inf", "-M", "5", "--steps", "5"],
      "init gives non-finite q_0=inf, trajectory 0"),
+    (["simulate", "--init", "abc", "-M", "5", "--steps", "5"], "init must be"),
+    (["fpe-check", "--points", "2", "-M", "5", "--steps", "5"], "points = 2"),
+    (["bracket-check", "--points", "2"], "points = 2"),
+    (["madelung-check", "--points", "2"], "points = 2"),
+    (["bracket-check", "--points", "-1"], "points = -1"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
-    "transport-n0", "simulate-init-nan", "simulate-init-inf",
+    "transport-n0", "simulate-init-nan", "simulate-init-inf", "simulate-init-abc",
+    "fpe-points-2", "bracket-points-2", "madelung-points-2", "bracket-points-negative",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -389,11 +395,28 @@ def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypat
      "momentum"),
     (["simulate", "--n", "0", "--momentum", "inf", "--init", "0", "-M", "5", "--steps", "5"],
      "momentum"),
+    (["bracket-check", "--x-min", "-inf"], "x_min"),
 ])
 def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_VALIDATION
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["bracket-check", "--x-min", "-1e1", "--points", "41"], "x_min", -10.0),
+    (["madelung-check", "--energy-offset", "-1e-3", "--points", "101"], "energy_offset", -1e-3),
+    (["anomaly", "--intercept", "-1e0"], "intercept", -1.0),
+    (["simulate", "--n", "0", "--momentum", "-2.5e0", "--init", "0", "-M", "5", "--steps", "5"],
+     "momentum", -2.5),
+    (["simulate", "--init", "-1e-1", "-M", "5", "--steps", "5"], "init", "-1e-1"),
+])
+def test_negative_value_as_separate_token(tmp_path, argv, name, value):
+    # argparse alone reads -1e1 or -inf after a flag as a flag of its own
+    code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_OK
+    (artifact,) = tmp_path.glob("*.txt")
+    assert getattr(RunConfig.from_header(artifact), name) == value
 
 
 def test_too_small_ensemble_exit_code(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -17,83 +16,74 @@ from stochastic_string.observables import (
     analytic_summed_correlator,
     cosine_coefficients,
     cosine_sample_grid,
-    correlator_at_lag,
     fit_log_slope,
     level_spectrum,
     zeta_intercept,
-    mode_correlator,
     reconstruct_string,
     summed_correlator,
 )
 
 
+GROUND_PARAMS = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6)
+
+
 @pytest.fixture(scope="module")
-def ground_ensemble():
-    params = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6)
-    return sde.simulate(
-        params, ModeStateSpec(), 1, 1, d_tau=1e-3, steps=3000, count=20_000,
-        seed=101, record_stride=100,
+def ground_products():
+    # 31 recorded columns 0.1 apart; lag 31 spans more than the run records
+    products = LagProducts(StationaryModeState(GROUND_PARAMS, 1), 1e-3, 100, range(32))
+    sde.simulate(
+        GROUND_PARAMS, ModeStateSpec(), 1, 1, d_tau=1e-3, steps=3000, count=20_000,
+        seed=101, record_stride=3000, observe=products,
     )
+    return products
 
 
-def test_equal_time_correlator_matches_quadrature(ground_ensemble):
+def test_equal_time_correlator_matches_quadrature(ground_products):
     # oracle: quadrature of x^2 rho_0(x)
-    params = ground_ensemble.params
-    state = StationaryModeState(params, 1, 0)
+    state = StationaryModeState(GROUND_PARAMS, 1, 0)
     expected = quad(lambda x: x**2 * state.density(x), -12, 12)[0]
-    est = mode_correlator(ground_ensemble, 5, 5)
+    est = ground_products.estimate(0)
     assert est.value == pytest.approx(expected, abs=3 * est.standard_error)
 
 
-def test_correlator_decay_one_unit(ground_ensemble):
-    est0 = correlator_at_lag(ground_ensemble, 0)
-    est1 = correlator_at_lag(ground_ensemble, 10)  # lag 10 * 0.1 = 1.0
+def test_correlator_decay_one_unit(ground_products):
+    est0 = ground_products.estimate(0)
+    est1 = ground_products.estimate(10)  # lag 10 * 0.1 = 1.0
     assert est1.value / est0.value == pytest.approx(math.exp(-1.0), rel=0.03)
 
 
-def test_correlator_long_lag_decays(ground_ensemble):
-    est = correlator_at_lag(ground_ensemble, 30)  # lag 3.0
+def test_correlator_long_lag_decays(ground_products):
+    est = ground_products.estimate(30)  # lag 3.0
     assert abs(est.value) < 3 * est.standard_error + 0.06
 
 
-def test_log_slope(ground_ensemble):
-    ests = [correlator_at_lag(ground_ensemble, lag) for lag in range(0, 21, 2)]
+def test_log_slope(ground_products):
+    ests = [ground_products.estimate(lag) for lag in range(0, 21, 2)]
     slope = fit_log_slope(ests)
     assert slope == pytest.approx(-1.0, rel=0.03)
 
 
-def test_mode_correlator_validation(ground_ensemble, params):
-    with pytest.raises(ValidationError):
-        mode_correlator(ground_ensemble, 1, 5)
-    excited = sde.simulate(
-        params, ModeStateSpec(occupations={(1, 1): 1}), 1, 1,
-        d_tau=1e-3, steps=10, count=50, seed=1,
-    )
+def test_mode_correlator_validation(ground_products, params):
     with pytest.raises(ExcitedStateError):
-        mode_correlator(excited, 1, 0)
-    with pytest.raises(ExcitedStateError):
-        LagProducts(excited.state, 1e-3, 1, [0])
-    zero = sde.simulate(
-        params, ModeStateSpec(zero_mode_momentum=tuple([0.0] * 24)), 0, 1,
-        init=0.0, d_tau=1e-3, steps=10, count=50, seed=1,
-    )
+        LagProducts(StationaryModeState(params, 1, 1), 1e-3, 1, [0])
     with pytest.raises(ZeroModeError):
-        mode_correlator(zero, 1, 0)
-    with pytest.raises(ZeroModeError):
-        LagProducts(zero.state, 1e-3, 1, [0])
+        LagProducts(StationaryModeState(params, 0, momentum=0.0), 1e-3, 1, [0])
     with pytest.raises(ValidationError, match="lag -1"):
-        correlator_at_lag(ground_ensemble, -1)
+        LagProducts(ground_products.state, 1e-3, 100, [-1])
     with pytest.raises(ValidationError, match="lag 31 outside recorded range"):
-        correlator_at_lag(ground_ensemble, 31)
+        ground_products.estimate(31)
+    with pytest.raises(ValidationError, match="lag 32 outside recorded range"):
+        ground_products.estimate(32)
 
 
 def test_correlators_need_two_trajectories(params):
     # one trajectory has no spread to take a standard error from
-    single = sde.simulate(params, ModeStateSpec(), 1, 1, d_tau=1e-3, steps=10, count=1, seed=1)
-    with pytest.raises(ValidationError, match="count = 1"):
-        mode_correlator(single, 5, 0)
-    with pytest.raises(ValidationError, match="count = 1"):
-        correlator_at_lag(single, 2)
+    single = LagProducts(StationaryModeState(params, 1), 1e-3, 1, [0, 2])
+    sde.simulate(params, ModeStateSpec(), 1, 1, d_tau=1e-3, steps=10, count=1, seed=1,
+                 record_stride=10, observe=single)
+    for lag in (0, 2):
+        with pytest.raises(ValidationError, match="count = 1"):
+            single.estimate(lag)
 
 
 def test_summed_correlator_matches_partial_sum():
@@ -110,32 +100,36 @@ def test_summed_correlator_matches_partial_sum():
 def test_summed_correlator_sums_parts_exactly(monkeypatch):
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
     spec = ModeStateSpec()
-    # streamed sums equal a replay of the stored run bit for bit, from lag 0
-    # to the largest recorded lag, in one chunk or in chunks of 150, 150, 100
-    for noise_values, stride in itertools.product((sde._NOISE_VALUES, 150 * 200), (1, 10)):
-        monkeypatch.setattr(sde, "_NOISE_VALUES", noise_values)
+    # every estimate is the estimator's definition on the same run's stored
+    # samples, and streaming in chunks of 150, 150, 100 equals streaming in
+    # one chunk bit for bit, from lag 0 to the largest recorded lag
+    for stride in (1, 10):
         lags = [0, 100 // stride, 200 // stride]  # 0, delta_tau = 1 and the last column
-        streamed, parts = {}, []
-        for n in (1, 2):
-            for i in (1, 2):
-                kwargs = dict(d_tau=1e-2, steps=200, count=400, seed=sde.spawn_seed(3, n, i))
-                streamed[n, i] = LagProducts(StationaryModeState(params, n), 1e-2, stride, lags)
-                sde.simulate(params, spec, n, i, record_stride=200, observe=streamed[n, i],
-                             **kwargs)
-                stored = sde.simulate(params, spec, n, i, record_stride=stride, **kwargs)
-                for lag in lags:
-                    est = streamed[n, i].estimate(lag)
-                    assert est == correlator_at_lag(stored, lag)
-                    # the estimator's definition, summed in numpy's order
-                    q = stored.samples
-                    per_traj = (q[:, : q.shape[1] - lag] * q[:, lag:]).mean(axis=1)
-                    assert est.value == pytest.approx(per_traj.mean(), rel=1e-12)
-                    se = per_traj.std(ddof=1) / math.sqrt(len(per_traj))
-                    assert est.standard_error == pytest.approx(se, rel=1e-12)
-                parts.append(correlator_at_lag(stored, lags[1]).value)
-        estimates = {key: products.estimate(lags[1]) for key, products in streamed.items()}
-        total, err = summed_correlator(params, estimates)
-        assert total == sum(parts)
+        runs = []
+        for noise_values in (sde._NOISE_VALUES, 150 * 200):
+            monkeypatch.setattr(sde, "_NOISE_VALUES", noise_values)
+            estimates = {}
+            for n in (1, 2):
+                for i in (1, 2):
+                    products = LagProducts(StationaryModeState(params, n), 1e-2, stride, lags)
+                    q = sde.simulate(
+                        params, spec, n, i, d_tau=1e-2, steps=200, count=400,
+                        seed=sde.spawn_seed(3, n, i), record_stride=stride, observe=products,
+                    ).samples
+                    estimates[n, i] = [products.estimate(lag) for lag in lags]
+                    for lag, est in zip(lags, estimates[n, i]):
+                        # summed in numpy's order
+                        per_traj = (q[:, : q.shape[1] - lag] * q[:, lag:]).mean(axis=1)
+                        assert est.value == pytest.approx(per_traj.mean(), rel=1e-12)
+                        se = per_traj.std(ddof=1) / math.sqrt(len(per_traj))
+                        assert est.standard_error == pytest.approx(se, rel=1e-12)
+                        assert est.delta_tau == pytest.approx(lag * 1e-2 * stride, rel=1e-12)
+            runs.append(estimates)
+        whole, chunked = runs
+        assert chunked == whole
+        at_one = {key: ests[1] for key, ests in whole.items()}
+        total, err = summed_correlator(params, at_one)
+        assert total == sum(est.value for est in at_one.values())
         assert err > 0
 
 
@@ -246,10 +240,8 @@ def test_level_spectrum_zeta_intercept():
     assert zeta_intercept(params4) == pytest.approx(2.0 / 24.0)
 
 
-def test_report_rows(ground_ensemble):
-    rows = observables.correlator_report_rows(
-        ground_ensemble.params, [correlator_at_lag(ground_ensemble, 0)]
-    )
+def test_report_rows(ground_products):
+    rows = observables.correlator_report_rows(GROUND_PARAMS, [ground_products.estimate(0)])
     assert set(rows[0]) == {"n", "delta_tau", "value", "stderr", "analytic", "z_score"}
     text = observables.format_report(rows)
     assert text.splitlines()[0] == "n delta_tau value stderr analytic z_score"

@@ -9,7 +9,6 @@ from stochastic_string.drift import StationaryModeState
 from stochastic_string import drift, sde
 from stochastic_string.sde import (
     InsufficientSamplesError,
-    increment_moments,
     simulate,
     spawn_seed,
     transport_derivative_check,
@@ -43,7 +42,7 @@ def test_driftless_single_step_variance(params, ground_spec):
     ens = simulate(
         params, spec, 0, 1, init=0.0, d_tau=0.01, steps=1, count=100_000, seed=2,
     )
-    _, var = increment_moments(ens, 0)
+    var = np.var(ens.samples[:, 1] - ens.samples[:, 0], ddof=1)
     assert var == pytest.approx(2 * params.diffusion(0) * 0.01, rel=0.05)
 
 
@@ -96,7 +95,8 @@ def test_increment_moments_zero_mode_drift(params):
     spec = ModeStateSpec(zero_mode_momentum=tuple([3.0] + [0.0] * 23))
     d_tau = 0.01
     ens = simulate(params, spec, 0, 1, init=0.0, d_tau=d_tau, steps=1, count=100_000, seed=8)
-    mean, var = increment_moments(ens, 0)
+    dq = ens.samples[:, 1] - ens.samples[:, 0]
+    mean, var = dq.mean(), dq.var(ddof=1)
     se = np.sqrt(var / ens.count)
     assert mean == pytest.approx(3.0 * d_tau, abs=3 * se)
     assert var == pytest.approx(2 * params.diffusion(0) * d_tau, rel=0.05)
@@ -104,21 +104,11 @@ def test_increment_moments_zero_mode_drift(params):
 
 def test_increment_moments_symmetric_state(params, ground_spec):
     ens = simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=5, count=50_000, seed=10)
-    mean, var = increment_moments(ens, 2)
+    dq = ens.samples[:, 3] - ens.samples[:, 2]
+    mean, var = dq.mean(), dq.var(ddof=1)
     se = np.sqrt(var / ens.count)
     assert mean == pytest.approx(0.0, abs=3.5 * se)
     assert var == pytest.approx(2 * params.diffusion(1) * 1e-3, rel=0.05)
-
-
-def test_increment_moments_validation(params, ground_spec):
-    ens = simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=4, count=10, seed=1)
-    with pytest.raises(ValidationError):
-        increment_moments(ens, 4)
-    strided = simulate(
-        params, ground_spec, 1, 1, d_tau=1e-3, steps=4, count=10, seed=1, record_stride=2
-    )
-    with pytest.raises(ValidationError):
-        increment_moments(strided, 0)
 
 
 def test_transport_derivative_constant_function(params, ground_spec):
@@ -152,22 +142,23 @@ def test_transport_derivative_occupancy_guard(params, ground_spec):
         transport_derivative_check(ens, lambda x: x, np.ones_like, np.zeros_like)
 
 
-def _per_query_reference(ensembles, queries, probe, bin_half_width):
+def _per_query_reference(blocks, d_tau, queries, probe, bin_half_width):
     """Binned rates with one searchsorted and masked bincounts per step and
-    per (F, forward) query: the arithmetic ``RateBins`` must reproduce bit
-    for bit."""
+    per (F, forward) query, over the stored ``(trajectories, columns)``
+    blocks in turn: the arithmetic ``RateBins`` must reproduce bit for bit
+    when streamed one block per chunk."""
     n_probe = len(probe)
     edges = np.concatenate((probe - bin_half_width, [probe[-1] + bin_half_width]))
     sums = [np.zeros(n_probe) for _ in queries]
     pos_sums = [np.zeros(n_probe) for _ in queries]
     counts = [np.zeros(n_probe, dtype=np.int64) for _ in queries]
-    for ens in ensembles:
-        for t in range(ens.recorded_steps):
-            prev_col = ens.samples[:, t]
-            next_col = ens.samples[:, t + 1]
+    for block in blocks:
+        for t in range(block.shape[1] - 1):
+            prev_col = block[:, t]
+            next_col = block[:, t + 1]
             for qi, (values, forward) in enumerate(queries):
                 cond = prev_col if forward else next_col
-                rate = (values(next_col) - values(prev_col)) / ens.d_tau
+                rate = (values(next_col) - values(prev_col)) / d_tau
                 idx = np.searchsorted(edges, cond, side="right") - 1
                 ok = (idx >= 0) & (idx < n_probe) & np.isfinite(rate)
                 near = np.abs(cond[ok] - probe[idx[ok]]) <= bin_half_width
@@ -216,7 +207,7 @@ def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, pro
         bins = sde.RateBins(counted, probe, w, kwargs["d_tau"], backward)
         with np.errstate(invalid="ignore"):
             ens = simulate(params, ground_spec, 1, 1, observe=bins, **kwargs)
-            expected = _per_query_reference([ens], queries, probe, w)
+            expected = _per_query_reference([ens.samples], ens.d_tau, queries, probe, w)
         # one F call per column of the run
         assert calls == [kwargs["count"]] * (kwargs["steps"] + 1)
         got = bins.rates(1)
@@ -400,7 +391,7 @@ def test_trajectory_view(params, ground_spec):
         params, ground_spec, 2, 3, d_tau=1e-3, steps=40, count=5, seed=6,
         record_stride=4,
     )
-    assert ens.mode == 2 and ens.direction == 3
+    assert ens.state.params == params and ens.state.n == 2
     assert ens.recorded_steps == 10
     taus = ens.recorded_taus()
     assert len(taus) == ens.samples.shape[1] == 11
@@ -447,31 +438,27 @@ def test_simulate_validation(params, ground_spec):
         simulate(params, ground_spec, 1, 1, init="bogus", d_tau=0.1, steps=5, count=5, seed=0)
 
 
-def _sums(bins):
-    return bins.rate_sums, bins.pos_sums, bins.counts
-
-
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "both"])
 @pytest.mark.parametrize("F", [lambda x: x, lambda x: x**2], ids=["x", "x2"])
 def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, backward):
+    # streamed in chunks, the sums equal the per-query reference replaying
+    # the stored run one chunk slice at a time
     monkeypatch.setattr(sde, "_NOISE_VALUES", 150 * 40)  # chunks of 150, 150, 150, 50
     kwargs = dict(d_tau=1e-3, steps=40, count=500, seed=23)
     probe = np.linspace(-1.5, 1.5, 7)
     streamed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
-    simulate(params, ground_spec, 1, 1, record_stride=40, observe=streamed, **kwargs)
-    ens = simulate(params, ground_spec, 1, 1, **kwargs)
-    replayed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
-    sde.replay(ens, replayed)
-    for a, b in zip(_sums(streamed), _sums(replayed)):
-        assert np.array_equal(a, b)
+    ens = simulate(params, ground_spec, 1, 1, observe=streamed, **kwargs)
+    queries = [(F, True), (F, False)] if backward else [(F, True)]
+    blocks = [ens.samples[start : start + 150] for start in range(0, 500, 150)]
+    expected = _per_query_reference(blocks, 1e-3, queries, probe, 0.25)
+    for got_stats, expected_stats in zip(streamed.rates(1), expected):
+        for a, b in zip(got_stats, expected_stats):
+            assert np.array_equal(a, b)
     assert streamed.counts.sum() > 0
-    with pytest.raises(ValidationError, match="d_tau"):
-        sde.replay(ens, sde.RateBins(F, probe, 0.25, 2e-3, backward))
-    # streaming checks the observer's d_tau as replay does; a plain callable has none
+    # an observer's d_tau must be the run's
     with pytest.raises(ValidationError, match="d_tau"):
         simulate(params, ground_spec, 1, 1, observe=sde.RateBins(F, probe, 0.25, 2e-3, backward),
                  **kwargs)
-    sde.replay(ens, lambda t, col: None)
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
