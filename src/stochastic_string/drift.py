@@ -135,9 +135,10 @@ class StationaryModeState:
 
         Real oscillator states carry no current, so for n >= 1 this is the
         osmotic part nu * (log rho)'; the zero mode has only the current
-        part 2*alpha'*kappa. Returns ``(drift, n_clamped)``: values outside
-        [-_DRIFT_CAP, _DRIFT_CAP] (including the infinities produced exactly
-        at nodes) are clamped and counted.
+        part 2*alpha'*kappa. Returns ``(drift, n_clamped)``, ``drift`` a new
+        array that the caller may overwrite (``sde.simulate`` steps in it):
+        values outside [-_DRIFT_CAP, _DRIFT_CAP] (including the infinities
+        produced exactly at nodes) are clamped and counted.
         Nelson diffusions never cross a node, so the clamp only regularizes
         rare near-node evaluations in a discrete-time integrator (which can
         still step across a node; ``sde.simulate`` counts those crossings).

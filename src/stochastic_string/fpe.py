@@ -169,8 +169,12 @@ def evolve_fokker_planck(
 
     rho = field.rho.copy()
     mass0 = rho.sum() * h
+    flux, back_flux = np.empty(field.points - 1), np.empty(field.points - 1)
     for _ in range(substeps):
-        flux = forward * rho[:-1] - backward * rho[1:]
+        # flux = forward * rho[:-1] - backward * rho[1:], in preallocated buffers
+        np.multiply(forward, rho[:-1], out=flux)
+        np.multiply(backward, rho[1:], out=back_flux)
+        flux -= back_flux
         rho[:-1] -= flux
         rho[1:] += flux
     lowest = min(field.rho.min(), rho.min())

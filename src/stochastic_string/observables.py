@@ -79,7 +79,9 @@ class LagProducts:
     starts a chunk) and records every ``record_stride``-th column into a
     ring buffer of the last max(lags) + 1; each recorded column adds its
     product with the one ``lag`` columns back to that lag's sums. Memory
-    does not grow with ``steps``. Fill it by streaming ``simulate``.
+    does not grow with ``steps``: ``simulate`` narrows its chunk so that the
+    ring's ``held_columns`` columns stay within its noise budget. Fill it by
+    streaming ``simulate``.
     """
 
     def __init__(self, state: StationaryModeState, d_tau: float, record_stride: int,
@@ -95,9 +97,13 @@ class LagProducts:
         # one (lags, trajectories) array of sums per chunk
         self._sums: list[np.ndarray] = []
 
+    @property
+    def held_columns(self) -> int:
+        return max(self.lags) + 1
+
     def __call__(self, t: int, col: np.ndarray) -> None:
         if t == 0:
-            self._recent = deque(maxlen=max(self.lags) + 1)
+            self._recent = deque(maxlen=self.held_columns)
             self._sums.append(np.zeros((len(self.lags), len(col))))
         if t % self.record_stride:
             return

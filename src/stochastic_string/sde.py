@@ -7,9 +7,11 @@ so runs are bit-identical regardless of chunking or execution order. One
 ``Generator`` serves a whole ``simulate`` call: before each trajectory its
 bit generator is re-keyed in place, which yields exactly the draws of a
 freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
-building one per trajectory. An observer passed to ``simulate`` sees the
-amplitudes after every step, so a check such as ``RateBins`` can bin a
-run without storing it.
+building one per trajectory. A long run draws each stream in blocks of
+steps and parks its state between them, so the noise drawn ahead is
+bounded however large ``steps`` is. An observer passed to ``simulate``
+sees the amplitudes after every step, so a check such as ``RateBins`` can
+bin a run without storing it.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ InitSampler = Callable[[np.random.Generator, int], np.ndarray]
 Observer = Callable[[int, np.ndarray], None]
 
 _CHUNK = 4096
-# float64 noise values drawn ahead per trajectory chunk (32 MiB); the chunk
-# floors at one trajectory, so above 2**22 steps the buffer is ``steps`` values
+# float64 noise values drawn ahead per trajectory chunk (32 MiB): blocks of
+# _NOISE_VALUES // _CHUNK steps, whatever ``steps`` is
 _NOISE_VALUES = 2**22
-
-
-def _chunk_size(steps: int) -> int:
-    """Trajectories per chunk: at most ``_CHUNK``, noise at most ``_NOISE_VALUES``."""
-    return min(_CHUNK, max(1, _NOISE_VALUES // steps))
+# trajectories whose noise rows are drawn into one tile, then transposed
+_TILE = 64
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -90,24 +89,103 @@ class Ensemble:
         return self.samples[:, t]
 
 
+# counter and output buffer of a freshly built Philox; the setter copies them
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
 def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
     """Reset ``rng``'s Philox bit generator to the stream of trajectory ``index``.
 
     Key ``[seed mod 2**64, index]``, counter 0 and an empty output buffer:
     the state of ``Philox(key=...)`` when freshly built.
     """
-    zeros = np.zeros(4, dtype=np.uint64)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": zeros,
-            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64),
-        },
-        "buffer": zeros,
+        "state": {"counter": _ZEROS, "key": (seed & 0xFFFFFFFFFFFFFFFF, index)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+# one row of a stream carry: counter, key, buffer, buffer_pos, has_uint32, uinteger
+_STREAM_WORDS = 13
+
+
+def _save_stream(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Store ``rng``'s whole Philox state in ``row`` of ``_STREAM_WORDS`` uint64."""
+    state = rng.bit_generator.state
+    row[:4] = state["state"]["counter"]
+    row[4:6] = state["state"]["key"]
+    row[6:10] = state["buffer"]
+    row[10:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def _resume_stream(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Set ``rng``'s Philox state to the one ``_save_stream`` stored in ``row``."""
+    buffer_pos, has_uint32, uinteger = row[10:].tolist()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": row[:4], "key": row[4:6]},
+        "buffer": row[6:10],
+        "buffer_pos": buffer_pos,
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+
+
+class _NoiseBlocks:
+    """The scaled noise of one run, drawn per trajectory and read per step.
+
+    Trajectory j's Philox stream, keyed by (seed, j), first gives q_0 and
+    then its noise in order, one block of ``block_steps`` steps at a time.
+    Each stream fills one row of a tile of ``_TILE`` trajectories; the tile
+    is scaled and transposed into a step-major block, so that step t reads
+    ``block[t]`` contiguously. Between blocks every stream's state waits in
+    one ``(chunk, _STREAM_WORDS)`` array. The noise buffer holds at most
+    ``chunk * block_steps`` values, and the tile ``_TILE * block_steps``.
+    """
+
+    def __init__(self, seed: int, steps: int, chunk: int, scale: float,
+                 draw_initial: Callable[[np.random.Generator], float]):
+        self.seed = seed
+        self.steps = steps
+        self.block_steps = min(steps, max(1, _NOISE_VALUES // _CHUNK))
+        self.scale = scale
+        self.draw_initial = draw_initial
+        self.rng = np.random.Generator(np.random.Philox())
+        self.noise = np.empty(chunk * self.block_steps)
+        self.tile_rows = min(_TILE, chunk)
+        self.tile = np.empty(self.tile_rows * self.block_steps)
+        if self.block_steps < steps:
+            self.streams = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
+
+    def blocks(self, start: int, q0: np.ndarray):
+        """Yield ``(first step, block)`` over the chunk of ``len(q0)`` trajectories
+        from ``start``, with ``block[t]`` the noise of step ``first + t``. Fills
+        ``q0`` before the first block; each block is overwritten by the next."""
+        width = len(q0)
+        rng = self.rng
+        for first in range(0, self.steps, self.block_steps):
+            length = min(self.block_steps, self.steps - first)
+            more = first + length < self.steps
+            noise = self.noise[: length * width].reshape(length, width)
+            for top in range(0, width, self.tile_rows):
+                rows = min(self.tile_rows, width - top)
+                tile = self.tile[: rows * length].reshape(rows, length)
+                for row, j in zip(tile, range(top, top + rows)):
+                    if first == 0:
+                        _rekey(rng, self.seed, start + j)
+                        q0[j] = self.draw_initial(rng)
+                    else:
+                        _resume_stream(rng, self.streams[j])
+                    rng.standard_normal(out=row)
+                    if more:
+                        _save_stream(rng, self.streams[j])
+                np.multiply(tile.T, self.scale, out=noise[:, top : top + rows])
+            yield first, noise
 
 
 def spawn_seed(seed: int, n: int, i: int) -> int:
@@ -160,7 +238,12 @@ def simulate(
     a column is never modified after the call, and an observer's ``d_tau``,
     if it has one, must be the run's. With ``record_stride =
     steps`` and an observer, memory is bounded by ``count`` however large
-    ``steps`` is.
+    ``steps`` is: trajectories run in chunks of up to ``_CHUNK``, and the
+    noise drawn ahead for a chunk, blocks of ``_NOISE_VALUES // _CHUNK``
+    steps, is at most ``_NOISE_VALUES`` values (32 MiB) for every ``steps``.
+    An observer with a ``held_columns`` attribute (``LagProducts``) keeps
+    that many columns of its chunk; the chunk narrows so that they, too,
+    hold at most ``_NOISE_VALUES`` values.
     """
     params.validate()
     if not 0 < d_tau < math.inf:
@@ -180,48 +263,47 @@ def simulate(
     nodes = mode_state.nodes()
     n_recorded = steps // record_stride + 1
     samples = np.empty((count, n_recorded), dtype=float)
-    noise_scale = math.sqrt(2.0 * mode_state.nu * d_tau)
     clamp_events = 0
     node_crossings = 0
-    rng = np.random.Generator(np.random.Philox())
 
-    chunk = _chunk_size(steps)
-    # one noise buffer for every chunk: allocated and paged in once per call
-    noise_buffer = np.empty(min(chunk, count) * steps)
+    # an observer that holds ``held_columns`` columns of its chunk (a lag
+    # ring) narrows the chunk, so that it holds at most _NOISE_VALUES values
+    held = getattr(observe, "held_columns", 1)
+    chunk = min(_CHUNK, count, max(1, _NOISE_VALUES // held))
+    source = _NoiseBlocks(seed, steps, chunk, math.sqrt(2.0 * mode_state.nu * d_tau), draw_initial)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        block = stop - start
-        noise = noise_buffer[: block * steps].reshape(block, steps)
-        q0 = np.empty(block)
-        for j in range(block):
-            _rekey(rng, seed, start + j)
-            q0[j] = draw_initial(rng)
-            rng.standard_normal(out=noise[j])
-        _check_initial_drift(nodes, q0, start)
-        q = q0
-        samples[start:stop, 0] = q
-        if observe is not None:
-            observe(0, q)
-        if nodes.size:
-            domain = np.searchsorted(nodes, q)
-        # finiteness is checked explicitly each step; let overflows reach it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(steps):
-                drift, clamped = mode_state.forward_drift_array(q)
-                clamp_events += clamped
-                q = q + drift * d_tau + noise_scale * noise[:, t]
-                bad = ~np.isfinite(q)
-                if bad.any():
-                    j = int(np.argmax(bad))
-                    raise NonFiniteSampleError(start + j, t + 1)
-                if nodes.size:
-                    next_domain = np.searchsorted(nodes, q)
-                    node_crossings += int(np.count_nonzero(next_domain != domain))
-                    domain = next_domain
-                if (t + 1) % record_stride == 0:
-                    samples[start:stop, (t + 1) // record_stride] = q
+        q = np.empty(stop - start)
+        for first, noise in source.blocks(start, q):
+            if first == 0:
+                _check_initial_drift(nodes, q, start)
+                samples[start:stop, 0] = q
                 if observe is not None:
-                    observe(t + 1, q)
+                    observe(0, q)
+                if nodes.size:
+                    domain = np.searchsorted(nodes, q)
+            # finiteness is checked explicitly each step; let overflows reach it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, dw in enumerate(noise, first + 1):
+                    drift, clamped = mode_state.forward_drift_array(q)
+                    clamp_events += clamped
+                    # q + drift * d_tau + dw, built in the fresh drift array;
+                    # the column an observer kept is never written again
+                    drift *= d_tau
+                    drift += q
+                    drift += dw
+                    q = drift
+                    if not np.isfinite(q).all():
+                        j = int(np.argmax(~np.isfinite(q)))
+                        raise NonFiniteSampleError(start + j, t)
+                    if nodes.size:
+                        next_domain = np.searchsorted(nodes, q)
+                        node_crossings += int(np.count_nonzero(next_domain != domain))
+                        domain = next_domain
+                    if t % record_stride == 0:
+                        samples[start:stop, t // record_stride] = q
+                    if observe is not None:
+                        observe(t, q)
 
     return Ensemble(
         state=mode_state,
@@ -307,7 +389,9 @@ class RateBins:
 
     def __call__(self, t: int, col: np.ndarray) -> None:
         n = len(self.centres) - 1
-        idx = np.searchsorted(self.edges, col, side="right") - 1
+        # the last edge at or below each value, as searchsorted(side="right") - 1
+        # finds it; NaN finds none (-1, not n), so it still reaches overflow
+        idx = np.count_nonzero(col >= self.edges[:, None], axis=0) - 1
         bins = np.where(np.abs(col - self.centres[idx]) <= self.bin_half_width, idx, n)
         values = self.F(col)
         if t:
@@ -386,10 +470,9 @@ def transport_derivative_check(
     if ensemble.record_stride != 1:
         raise ValidationError("transport derivatives need record_stride == 1")
     bins = transport_bins(ensemble.state, F, ensemble.d_tau)
-    chunk = _chunk_size(ensemble.steps)
-    for start in range(0, ensemble.count, chunk):
+    for start in range(0, ensemble.count, _CHUNK):
         # one transposed copy per chunk, so that each column binned is contiguous
-        for t, col in enumerate(ensemble.samples[start : start + chunk].T.copy()):
+        for t, col in enumerate(ensemble.samples[start : start + _CHUNK].T.copy()):
             bins(t, col)
     return transport_deviation(bins, ensemble.state, dF, d2F)
 

@@ -8,7 +8,8 @@ read-only here: its targets are resolved the way ``install`` resolves them,
 each counter is evaluated on one small real call, and nothing is wrapped.
 The ``simulate_export`` workload's check in ``bench/workloads.py`` also
 reads a stored run (``samples``, ``recorded_taus()``), so it runs here once
-at a small size.
+at a small size; the ``transport_check`` and ``relaxation`` checks run at
+the reduced sizes of the benchmark's own tests.
 """
 
 import importlib
@@ -97,14 +98,31 @@ def test_traced_counter_reads_its_target(tmp_path, module_name, attr, counts):
     assert counts(args, kwargs, result) == expected()
 
 
-def test_simulate_export_check_reads_the_stored_run(tmp_path, monkeypatch):
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """The bench's ``workloads`` and ``test_bench`` modules, loaded as the bench loads them."""
     # workloads imports its sibling ``reference`` by name, and its dataclasses
-    # look their own module up in sys.modules
-    for name in ("reference", "workloads"):
+    # look their own module up in sys.modules; test_bench imports all three
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    for name in ("reference", "workloads", "test_bench"):
         module = _bench_module(name)
         monkeypatch.setitem(sys.modules, name, module)
         module.__spec__.loader.exec_module(module)
-    workloads = sys.modules["workloads"]
+    return sys.modules["workloads"], sys.modules["test_bench"]
+
+
+def test_simulate_export_check_reads_the_stored_run(tmp_path, bench_modules):
+    workloads, _ = bench_modules
     (op,) = workloads.build("simulate_export", 3, tmp_path, {"count": 40, "steps": 100})
     assert op.run() == 0
     assert op.check(None) == []
+
+
+@pytest.mark.parametrize("workload", ["transport_check", "relaxation"])
+def test_workload_checks_pass_at_reduced_size(tmp_path, bench_modules, workload):
+    workloads, test_bench = bench_modules
+    ops = workloads.build(workload, 3, tmp_path, test_bench.SMALL[workload])
+    checked, failed = test_bench.run_ops(ops)
+    assert failed == []
+    assert [(name, problems) for name, problems in checked if problems] == []
+    assert len(checked) == len(ops)

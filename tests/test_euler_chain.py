@@ -29,7 +29,7 @@ STEPS, COUNT = 200, 4000
     (1, 5e-3),
 ])
 def test_lag_products_equal_the_chain_at_every_lag(monkeypatch, n, d_tau):
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 1500 * STEPS)  # chunks of 1500, 1500, 1000
+    monkeypatch.setattr(sde, "_CHUNK", 1500)  # chunks of 1500, 1500, 1000
     state = StationaryModeState(PARAMS, n)
     chain = EulerChain.of(state, d_tau)
     # stride 3 records t = 0, 3, .., 198: the last two steps are never recorded
@@ -118,3 +118,28 @@ def test_correlator_slope_pins_nu(scale):
     assert abs(slope - chain.log_slope) <= z_bound(1) * se, f"slope {slope} vs {chain.log_slope}"
     # criterion 2's check: only nu = 2 alpha' reproduces the decay rate n
     assert (abs(slope + n) <= 0.03 * n) == (scale == 1.0), f"slope {slope} vs -{n}"
+
+
+def test_euler_residuals_independent_across_noise_blocks(monkeypatch):
+    # blocks of 4 steps: a stream that restarted, or a block drawn once and
+    # reused, would correlate residual i of one block with residual i of the
+    # next
+    block = 4
+    monkeypatch.setattr(sde, "_NOISE_VALUES", block * sde._CHUNK)
+    state = StationaryModeState(PARAMS, N)
+    chain = EulerChain.of(state, D_TAU)
+    q = sde.simulate(
+        PARAMS, ModeStateSpec(), N, 1, d_tau=D_TAU, steps=3 * block, count=COUNT, seed=34,
+    ).samples
+    # q_{t+1} - a q_t = s xi_t: the noise of step t + 1
+    residuals = (q[:, 1:] - chain.a * q[:, :-1]) / math.sqrt(chain.noise_variance)
+    assert np.allclose(residuals.std(axis=0), 1.0, atol=0.05)
+    bound = z_bound(2 * block**2)
+    for boundary in (block, 2 * block):
+        before = residuals[:, boundary - block : boundary]
+        after = residuals[:, boundary : boundary + block]
+        # sqrt(COUNT) times each sample correlation of a step before with one after
+        z = (before - before.mean(0)).T @ (after - after.mean(0)) / (
+            np.outer(before.std(0), after.std(0)) * math.sqrt(COUNT)
+        )
+        assert np.all(np.abs(z) <= bound), f"boundary {boundary}: z = {np.round(z, 2)}"

@@ -106,8 +106,8 @@ def test_summed_correlator_sums_parts_exactly(monkeypatch):
     for stride in (1, 10):
         lags = [0, 100 // stride, 200 // stride]  # 0, delta_tau = 1 and the last column
         runs = []
-        for noise_values in (sde._NOISE_VALUES, 150 * 200):
-            monkeypatch.setattr(sde, "_NOISE_VALUES", noise_values)
+        for chunk in (sde._CHUNK, 150):
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
             estimates = {}
             for n in (1, 2):
                 for i in (1, 2):

@@ -217,6 +217,45 @@ def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, pro
                 assert np.array_equal(a, b)
 
 
+def _edge_columns(bins):
+    """Three columns of values on and around every bin boundary, the
+    infinities and NaN, each a shuffle of the same values."""
+    probe, w = bins.centres[:-1], bins.bin_half_width
+    values = np.concatenate([
+        bins.edges, np.nextafter(bins.edges, -np.inf), np.nextafter(bins.edges, np.inf),
+        probe - w, probe + w, probe, [-np.inf, np.inf, np.nan, 0.0, -50.0, 50.0],
+    ])
+    rng = np.random.default_rng(5)
+    return [rng.permutation(values) for _ in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["transport", "second-law"])
+def test_rate_bins_on_edges_equal_searchsorted_reference(params, ground_spec, kind):
+    state = sde._resolve_state(params, ground_spec, 1, 1)
+    if kind == "transport":
+        # finite at +-inf, so those samples reach the binning; inf on one probe point
+        def F(x):
+            return np.where(x == 0.0, np.inf, np.tanh(x))
+
+        bins = sde.transport_bins(state, F, 1e-3)
+        queries = [(F, True)]
+    else:
+        bins = sde.second_law_bins(state, 1e-3)
+        queries = [(bins.F, True), (bins.F, False)]
+    columns = _edge_columns(bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for t, col in enumerate(columns):
+            bins(t, col)
+        got = bins.rates(0)
+        expected = _per_query_reference(
+            [np.column_stack(columns)], 1e-3, queries, bins.centres[:-1], bins.bin_half_width
+        )
+    assert bins.counts.sum() > 0
+    for got_stats, expected_stats in zip(got, expected):
+        for a, b in zip(got_stats, expected_stats):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_second_law_guards(params, ground_spec):
     zero_mode = StationaryModeState(params, 0, momentum=0.0)
     with pytest.raises(ValidationError, match="n >= 1"):
@@ -235,8 +274,7 @@ def test_second_law_guards(params, ground_spec):
 
 def test_second_law_memory_independent_of_steps(params, ground_spec, monkeypatch):
     # a small noise buffer, so the ensemble would dominate if it were stored;
-    # 330 trajectories exceed the 327 it holds at 400 steps, so the buffer is
-    # the same size at both step counts
+    # its blocks of 32 steps make it the same size at both step counts
     monkeypatch.setattr(sde, "_NOISE_VALUES", 2**17)
     state = sde._resolve_state(params, ground_spec, 1, 1)
     peaks = []
@@ -264,7 +302,7 @@ def test_simulate_independent_of_noise_buffer_size(params, monkeypatch, spec):
     kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3)
     whole = simulate(params, spec, 1, 1, **kwargs)
     assert whole.clamp_events > 0
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)  # chunks of 3, 3, 3, 1 trajectories
+    monkeypatch.setattr(sde, "_CHUNK", 3)  # chunks of 3, 3, 3, 1 trajectories
     rows = simulate(params, spec, 1, 1, **kwargs)
     assert np.array_equal(rows.samples, whole.samples)
     assert rows.clamp_events == whole.clamp_events
@@ -288,9 +326,9 @@ def test_rekeyed_stream_equals_fresh_philox(seed, index):
 
 def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, seed):
     """Euler-Maruyama with a freshly built Philox stream per trajectory and
-    the log-density gradient clamped at 1e6: the arithmetic ``simulate``
-    must reproduce."""
-    cap = 1.0e6
+    the forward drift clamped at ``drift._DRIFT_CAP``: the arithmetic
+    ``simulate`` must reproduce."""
+    cap = drift._DRIFT_CAP
     state = sde._resolve_state(params, spec, n, i)
     q = np.empty(count)
     noise = np.empty((count, steps))
@@ -307,12 +345,12 @@ def _fresh_stream_reference(params, spec, n, i, *, init, d_tau, steps, count, se
     scale = np.sqrt(2.0 * state.nu * d_tau)
     for t in range(steps):
         if n == 0:
-            drift = np.full_like(q, 2.0 * params.alpha_prime * state.momentum)
+            v = np.full_like(q, 2.0 * params.alpha_prime * state.momentum)
         else:
-            drift = state.nu * state.log_density_gradient(q)
-            drift = np.nan_to_num(drift, nan=cap, posinf=cap, neginf=-cap)
-            drift = np.clip(drift, -cap, cap)
-        q = q + drift * d_tau + scale * noise[:, t]
+            v = state.nu * state.log_density_gradient(q)
+            v = np.nan_to_num(v, nan=cap, posinf=cap, neginf=-cap)
+            v = np.clip(v, -cap, cap)
+        q = q + v * d_tau + scale * noise[:, t]
         samples.append(q)
     return np.column_stack(samples)
 
@@ -333,6 +371,91 @@ def test_simulate_equals_fresh_stream_reference(params, n, spec, init):
     ens = simulate(params, spec, n, 1, **kwargs)
     expected = _fresh_stream_reference(params, spec, n, 1, **kwargs)
     assert ens.samples.tobytes() == expected.tobytes()
+
+
+# (_CHUNK, _NOISE_VALUES, _TILE) against 40 trajectories of 12 steps
+_LAYOUTS = {
+    "one-chunk-one-block": (64, 64 * 12, 64),
+    "chunks": (16, 16 * 12, 5),  # chunks of 16, 16, 8 in tiles of 5
+    "blocks": (64, 64 * 5, 64),  # blocks of 5, 5, 2 steps
+    "chunks-and-blocks": (16, 16 * 5, 5),
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize(
+    "spec, init",
+    [
+        (ModeStateSpec(), "stationary"),
+        (ModeStateSpec(occupations={(1, 1): 1}), "stationary"),
+        # a float32 draw leaves half a Philox output pending across the blocks
+        (ModeStateSpec(), lambda rng, size: rng.random(size, dtype=np.float32)),
+    ],
+    ids=["k0", "k1", "callable-float32"],
+)
+def test_simulate_equals_fresh_stream_reference_in_every_layout(params, monkeypatch, spec, init,
+                                                                 layout):
+    # a low cap and a coarse step: clamps and (k = 1) node crossings on both
+    # sides of each block boundary
+    monkeypatch.setattr(drift, "_DRIFT_CAP", 0.5)
+    kwargs = dict(init=init, d_tau=0.1, steps=12, count=40, seed=2**64 - 3)
+    whole = simulate(params, spec, 1, 1, **kwargs)
+    for name, value in zip(("_CHUNK", "_NOISE_VALUES", "_TILE"), _LAYOUTS[layout]):
+        monkeypatch.setattr(sde, name, value)
+    ens = simulate(params, spec, 1, 1, **kwargs)
+    expected = _fresh_stream_reference(params, spec, 1, 1, **kwargs)
+    assert ens.samples.tobytes() == expected.tobytes()
+
+    state = sde._resolve_state(params, spec, 1, 1)
+    clamped = [int(np.count_nonzero(~(np.abs(state.nu * state.log_density_gradient(col)) <= 0.5)))
+               for col in expected[:, :-1].T]
+    crossed = np.count_nonzero(np.signbit(expected[:, 1:]) != np.signbit(expected[:, :-1]), axis=0)
+    assert (ens.clamp_events, whole.clamp_events) == (sum(clamped), sum(clamped))
+    assert min(sum(clamped[:5]), sum(clamped[5:10]), sum(clamped[10:])) > 0
+    if spec.occupations:
+        assert ens.node_crossings == whole.node_crossings == crossed.sum()
+        assert min(crossed[:5].sum(), crossed[5:10].sum(), crossed[10:].sum()) > 0
+    else:
+        assert ens.node_crossings == whole.node_crossings == 0
+
+
+def test_non_finite_sample_named_alike_in_a_later_block(params, ground_spec, monkeypatch):
+    # q -> -9 q + noise per step: from 1e290 trajectory 5 overflows near step
+    # 20, every other one stays finite for the 30 steps
+    monkeypatch.setattr(drift, "_DRIFT_CAP", np.inf)
+    starts = iter([1.0] * 5 + [1e290] + [1.0] * 4)
+    kwargs = dict(init=lambda rng, size: np.full(size, next(starts)),
+                  d_tau=10.0, steps=30, count=10, seed=1)
+    with pytest.raises(sde.NonFiniteSampleError) as whole:
+        simulate(params, ground_spec, 1, 1, **kwargs)
+    starts = iter([1.0] * 5 + [1e290] + [1.0] * 4)
+    monkeypatch.setattr(sde, "_CHUNK", 4)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 4 * 8)  # blocks of 8 steps
+    with pytest.raises(sde.NonFiniteSampleError) as blocked:
+        simulate(params, ground_spec, 1, 1, **kwargs)
+    assert (blocked.value.trajectory, blocked.value.step) == (whole.value.trajectory,
+                                                              whole.value.step)
+    assert whole.value.trajectory == 5
+    assert 16 < whole.value.step <= 24  # in the chunk's third block
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_noise_memory_bounded_for_any_steps(params, ground_spec, monkeypatch):
+    # one trajectory at 10 x _NOISE_VALUES steps: its noise is drawn in blocks
+    # of _NOISE_VALUES // _CHUNK steps, not all at once
+    monkeypatch.setattr(sde, "_CHUNK", 4)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 2**12)
+    steps = 10 * sde._NOISE_VALUES
+    tracemalloc.start()
+    try:
+        ens = simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=steps, count=1, seed=2,
+                       record_stride=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(ens.samples).all()
+    # drawn at once, the noise alone would take 10 times this
+    assert peak <= 8 * sde._NOISE_VALUES
 
 
 def test_node_crossings_counted(params):
@@ -443,7 +566,7 @@ def test_simulate_validation(params, ground_spec):
 def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, backward):
     # streamed in chunks, the sums equal the per-query reference replaying
     # the stored run one chunk slice at a time
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 150 * 40)  # chunks of 150, 150, 150, 50
+    monkeypatch.setattr(sde, "_CHUNK", 150)  # chunks of 150, 150, 150, 50
     kwargs = dict(d_tau=1e-3, steps=40, count=500, seed=23)
     probe = np.linspace(-1.5, 1.5, 7)
     streamed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
@@ -462,7 +585,7 @@ def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, back
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 700 * 30)  # chunks of 700, 700, 600
+    monkeypatch.setattr(sde, "_CHUNK", 700)  # chunks of 700, 700, 600
     kwargs = dict(d_tau=1e-3, steps=30, count=2000, seed=24)
     state = sde._resolve_state(params, ground_spec, 1, 1)
     bins = sde.transport_bins(state, lambda x: x, 1e-3)
@@ -476,7 +599,7 @@ def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypa
 
 
 def test_observer_sees_every_step_of_each_chunk(params, ground_spec, monkeypatch):
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)  # chunks of 3, 3, 3, 1 trajectories
+    monkeypatch.setattr(sde, "_CHUNK", 3)  # chunks of 3, 3, 3, 1 trajectories
     seen = []
 
     def observe(t, col):
@@ -499,7 +622,7 @@ def test_observer_sees_every_step_of_each_chunk(params, ground_spec, monkeypatch
 def test_observer_leaves_run_unchanged(params, monkeypatch, spec):
     monkeypatch.setattr(drift, "_DRIFT_CAP", 0.5)
     kwargs = dict(d_tau=0.1, steps=12, count=10, seed=3)
-    monkeypatch.setattr(sde, "_NOISE_VALUES", 3 * 12)
+    monkeypatch.setattr(sde, "_CHUNK", 3)
     plain = simulate(params, spec, 1, 1, **kwargs)
     observed = simulate(params, spec, 1, 1, observe=lambda t, col: None, **kwargs)
     assert plain.clamp_events > 0
