@@ -203,8 +203,9 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
     estimates = [products.estimate(0), products.estimate(lag_steps)]
     rows = observables.correlator_report_rows(params, estimates)
     path = _write(cfg, out, "correlator.txt", observables.format_report(rows).splitlines())
-    json_path = Path(out) / "correlator.json"
-    json_path.write_text(observables.report_json(rows) + "\n")
+    json_path = write_artifact(
+        Path(out) / "correlator.json", (), [observables.report_json(rows) + "\n"]
+    )
     worst = max(abs(r["z_score"]) for r in rows)
     print(f"wrote {path} and {json_path}; max |z| = {worst:.2f}")
     return EXIT_OK

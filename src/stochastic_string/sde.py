@@ -3,15 +3,15 @@
 Integrates dq = v_plus(q) dtau + dw with Euler-Maruyama, where the noise
 increment satisfies <dw> = 0 and <dw dw> = 2 nu_n dtau. Trajectory j is
 driven by the counter-based Philox stream keyed by (seed, j) from counter 0,
-so runs are bit-identical regardless of chunking or execution order. One
-``Generator`` serves a whole ``simulate`` call: before each trajectory its
-bit generator is re-keyed in place, which yields exactly the draws of a
-freshly built ``Generator(Philox(key=[seed, j]))`` without the cost of
-building one per trajectory. A long run draws each stream in blocks of
-steps and parks its state between them, so the noise drawn ahead is
-bounded however large ``steps`` is. An observer passed to ``simulate``
-sees the amplitudes after every step, so a check such as ``RateBins`` can
-bin a run without storing it.
+so runs are bit-identical regardless of chunking or execution order. Each
+stream's whole Philox state is a row of one table, from its key to its
+last draw. One ``Generator`` serves a whole ``simulate`` call: it is set
+to a trajectory's row before each block of draws, which yields exactly the
+draws of ``Generator(Philox(key=[seed, j]))`` without building one per
+trajectory, and the row takes the state back when another block follows,
+so the noise drawn ahead is bounded however large ``steps`` is. An
+observer passed to ``simulate`` sees the amplitudes after every step, so
+a check such as ``RateBins`` can bin a run without storing it.
 """
 
 from __future__ import annotations
@@ -89,29 +89,17 @@ class Ensemble:
         return self.samples[:, t]
 
 
-# counter and output buffer of a freshly built Philox; the setter copies them
-_ZEROS = np.zeros(4, dtype=np.uint64)
-_ZEROS.flags.writeable = False
-
-
-def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
-    """Reset ``rng``'s Philox bit generator to the stream of trajectory ``index``.
-
-    Key ``[seed mod 2**64, index]``, counter 0 and an empty output buffer:
-    the state of ``Philox(key=...)`` when freshly built.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (seed & 0xFFFFFFFFFFFFFFFF, index)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-# one row of a stream carry: counter, key, buffer, buffer_pos, has_uint32, uinteger
+# one row of the stream table: counter, key, buffer, buffer_pos, has_uint32, uinteger
 _STREAM_WORDS = 13
+
+
+def _key_streams(streams: np.ndarray, seed: int, start: int) -> None:
+    """Set each row j of ``streams`` to the state of a freshly built
+    ``Philox(key=[seed mod 2**64, start + j])``: counter 0, an empty buffer."""
+    streams[:] = 0
+    streams[:, 4] = seed & 0xFFFFFFFFFFFFFFFF
+    streams[:, 5] = np.arange(start, start + len(streams), dtype=np.uint64)
+    streams[:, 10] = 4  # buffer_pos: every buffered word used
 
 
 def _save_stream(rng: np.random.Generator, row: np.ndarray) -> None:
@@ -124,15 +112,15 @@ def _save_stream(rng: np.random.Generator, row: np.ndarray) -> None:
 
 
 def _resume_stream(rng: np.random.Generator, row: np.ndarray) -> None:
-    """Set ``rng``'s Philox state to the one ``_save_stream`` stored in ``row``."""
-    buffer_pos, has_uint32, uinteger = row[10:].tolist()
+    """Set ``rng``'s Philox state to the one stored in ``row``."""
+    words = row.tolist()
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": row[:4], "key": row[4:6]},
-        "buffer": row[6:10],
-        "buffer_pos": buffer_pos,
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
+        "state": {"counter": words[:4], "key": words[4:6]},
+        "buffer": words[6:10],
+        "buffer_pos": words[10],
+        "has_uint32": words[11],
+        "uinteger": words[12],
     }
 
 
@@ -143,9 +131,11 @@ class _NoiseBlocks:
     then its noise in order, one block of ``block_steps`` steps at a time.
     Each stream fills one row of a tile of ``_TILE`` trajectories; the tile
     is scaled and transposed into a step-major block, so that step t reads
-    ``block[t]`` contiguously. Between blocks every stream's state waits in
-    one ``(chunk, _STREAM_WORDS)`` array. The noise buffer holds at most
-    ``chunk * block_steps`` values, and the tile ``_TILE * block_steps``.
+    ``block[t]`` contiguously. Every stream's state is a row of one
+    ``(chunk, _STREAM_WORDS)`` table: keyed afresh for each chunk, set into
+    the one ``Generator`` before each block and saved back if another block
+    follows. The noise buffer holds at most ``chunk * block_steps`` values,
+    and the tile ``_TILE * block_steps``.
     """
 
     def __init__(self, seed: int, steps: int, chunk: int, scale: float,
@@ -159,8 +149,7 @@ class _NoiseBlocks:
         self.noise = np.empty(chunk * self.block_steps)
         self.tile_rows = min(_TILE, chunk)
         self.tile = np.empty(self.tile_rows * self.block_steps)
-        if self.block_steps < steps:
-            self.streams = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
+        self.streams = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
 
     def blocks(self, start: int, q0: np.ndarray):
         """Yield ``(first step, block)`` over the chunk of ``len(q0)`` trajectories
@@ -168,6 +157,8 @@ class _NoiseBlocks:
         ``q0`` before the first block; each block is overwritten by the next."""
         width = len(q0)
         rng = self.rng
+        streams = self.streams[:width]
+        _key_streams(streams, self.seed, start)
         for first in range(0, self.steps, self.block_steps):
             length = min(self.block_steps, self.steps - first)
             more = first + length < self.steps
@@ -175,15 +166,13 @@ class _NoiseBlocks:
             for top in range(0, width, self.tile_rows):
                 rows = min(self.tile_rows, width - top)
                 tile = self.tile[: rows * length].reshape(rows, length)
-                for row, j in zip(tile, range(top, top + rows)):
+                for j, row, stream in zip(range(top, top + rows), tile, streams[top:]):
+                    _resume_stream(rng, stream)
                     if first == 0:
-                        _rekey(rng, self.seed, start + j)
                         q0[j] = self.draw_initial(rng)
-                    else:
-                        _resume_stream(rng, self.streams[j])
                     rng.standard_normal(out=row)
                     if more:
-                        _save_stream(rng, self.streams[j])
+                        _save_stream(rng, stream)
                 np.multiply(tile.T, self.scale, out=noise[:, top : top + rows])
             yield first, noise
 
@@ -241,6 +230,8 @@ def simulate(
     ``steps`` is: trajectories run in chunks of up to ``_CHUNK``, and the
     noise drawn ahead for a chunk, blocks of ``_NOISE_VALUES // _CHUNK``
     steps, is at most ``_NOISE_VALUES`` values (32 MiB) for every ``steps``.
+    Beside it sit a tile of ``_TILE`` trajectories' noise rows for one
+    block and the stream table, 13 words per trajectory of the chunk.
     An observer with a ``held_columns`` attribute (``LagProducts``) keeps
     that many columns of its chunk; the chunk narrows so that they, too,
     hold at most ``_NOISE_VALUES`` values.

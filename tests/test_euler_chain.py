@@ -143,3 +143,25 @@ def test_euler_residuals_independent_across_noise_blocks(monkeypatch):
             np.outer(before.std(0), after.std(0)) * math.sqrt(COUNT)
         )
         assert np.all(np.abs(z) <= bound), f"boundary {boundary}: z = {np.round(z, 2)}"
+
+
+@pytest.mark.parametrize("scale", [0.8, 1.25])
+def test_second_law_acceleration_scales_as_nu_squared(scale):
+    # u = nu (log rho)' scales with nu, and the mean acceleration
+    # -(u^2/2 + nu u')' with nu^2: only nu = 2 alpha' gives -n^2 q. The
+    # scale = 1 side is criterion 6, at 300 000 trajectories.
+    params = _ScaledDiffusion(alpha_prime=0.5, dims=26, mode_cutoff=6, scale=scale)
+    n, d_tau, steps = 1, 1e-3, 500
+    state = StationaryModeState(params, n)
+    bins = sde.second_law_bins(state, d_tau)
+    sde.simulate(
+        params, ModeStateSpec(), n, 1, d_tau=d_tau, steps=steps, count=20_000, seed=35,
+        record_stride=steps, observe=bins,
+    )
+    deviation, probe, acceleration = sde.second_law_check(bins, state)
+    # criterion 6's check
+    assert deviation >= 0.10, f"second-law deviation {deviation}"
+    ratio = float(np.median(acceleration / (-(n**2) * probe)))
+    # over seeds 0..11, ratio / scale^2 spread with a standard deviation of
+    # 0.031 at scale 0.8 and 0.025 at 1 and 1.25; the bound is four of the larger
+    assert abs(ratio / scale**2 - 1.0) <= 4 * 0.031, f"ratio {ratio} vs {scale**2}"

@@ -309,16 +309,22 @@ def test_simulate_independent_of_noise_buffer_size(params, monkeypatch, spec):
     assert rows.node_crossings == whole.node_crossings
 
 
-@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
-@pytest.mark.parametrize("index", [0, 1, 4095, 4096, 12_345])
+# seed -1 reads the stream of seed 2**64 - 1
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1, -1])
+@pytest.mark.parametrize("index", [0, 1, 4095, 4096, 4100, 12_345])
 def test_rekeyed_stream_equals_fresh_philox(seed, index):
+    # the row of trajectory ``index`` in the freshly keyed table of its chunk:
+    # 4096 and 4100 sit in the chunk that starts at 4096
+    start = index - index % sde._CHUNK
+    streams = np.empty((sde._CHUNK, sde._STREAM_WORDS), dtype=np.uint64)
+    sde._key_streams(streams, seed, start)
     fresh = np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        np.random.Philox(key=np.array([seed % 2**64, index], dtype=np.uint64))
     )
     rng = np.random.Generator(np.random.Philox())
     # a float32 draw leaves half of a 64-bit output pending in the state
     rng.random(dtype=np.float32)
-    sde._rekey(rng, seed, index)
+    sde._resume_stream(rng, streams[index - start])
     assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
     assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
     assert np.array_equal(rng.integers(0, 2**40, 5), fresh.integers(0, 2**40, 5))
