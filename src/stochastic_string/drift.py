@@ -54,8 +54,9 @@ class StationaryModeState:
             raise ValidationError(f"mode index must be >= 0, got {self.n}")
         if self.n == 0 and self.k != 0:
             raise ValidationError("zero mode has no occupation number")
-        if self.n >= 1 and self.k < 0:
-            raise ValidationError(f"occupation must be >= 0, got {self.k}")
+        # the density's normalization holds k! as a float only up to k = 170
+        if self.n >= 1 and not 0 <= self.k <= 170:
+            raise ValidationError(f"occupation k must lie in 0..170, got k = {self.k}")
         if not math.isfinite(self.momentum):
             raise ValidationError(f"momentum must be finite, got {self.momentum}")
         if self.n >= 1 and self.momentum != 0.0:

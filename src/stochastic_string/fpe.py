@@ -68,6 +68,8 @@ def _check_grid(x_min: float, x_max: float, points: int) -> None:
     for name, value in (("x_min", x_min), ("x_max", x_max)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+    if not math.isfinite(x_max - x_min):
+        raise ValidationError(f"x_max - x_min overflows: x_min = {x_min}, x_max = {x_max}")
     if x_max <= x_min:
         raise ValidationError("x_max must exceed x_min")
     if points < 3:

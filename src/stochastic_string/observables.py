@@ -79,9 +79,9 @@ class LagProducts:
     starts a chunk) and records every ``record_stride``-th column into a
     ring buffer of the last max(lags) + 1; each recorded column adds its
     product with the one ``lag`` columns back to that lag's sums. Memory
-    does not grow with ``steps``: ``simulate`` narrows its chunk so that the
-    ring's ``held_columns`` columns stay within its noise budget. Fill it by
-    streaming ``simulate``.
+    does not grow with ``steps``: the ring's ``held_columns`` narrow the
+    chunk ``simulate`` runs (``sde._noise_blocks``). Fill it by streaming
+    ``simulate``.
     """
 
     def __init__(self, state: StationaryModeState, d_tau: float, record_stride: int,

@@ -124,57 +124,55 @@ def _resume_stream(rng: np.random.Generator, row: np.ndarray) -> None:
     }
 
 
-class _NoiseBlocks:
-    """The scaled noise of one run, drawn per trajectory and read per step.
+def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
+                  draw_initial: Callable[[np.random.Generator], float]):
+    """Lay out the scaled noise of a run of ``count`` trajectories and yield
+    ``(start, q0, first, block)`` over it, chunk by chunk and block by block.
 
-    Trajectory j's Philox stream, keyed by (seed, j), first gives q_0 and
-    then its noise in order, one block of ``block_steps`` steps at a time.
+    Trajectories run in chunks of up to ``_CHUNK``, narrowed so that an
+    observer holding ``held`` columns of its chunk (``LagProducts``' lag
+    ring) keeps at most ``_NOISE_VALUES`` values; ``held`` must not exceed
+    ``_NOISE_VALUES``. Trajectory j's Philox stream, keyed by (seed, j),
+    first gives q_0 and then its noise in order, one block of
+    ``_NOISE_VALUES // _CHUNK`` steps at a time, so the noise drawn ahead is
+    at most ``_NOISE_VALUES`` values (32 MiB) however large ``steps`` is.
     Each stream fills one row of a tile of ``_TILE`` trajectories; the tile
     is scaled and transposed into a step-major block, so that step t reads
     ``block[t]`` contiguously. Every stream's state is a row of one
     ``(chunk, _STREAM_WORDS)`` table: keyed afresh for each chunk, set into
     the one ``Generator`` before each block and saved back if another block
-    follows. The noise buffer holds at most ``chunk * block_steps`` values,
-    and the tile ``_TILE * block_steps``.
+    follows. ``q0`` holds the chunk's trajectories from ``start``, filled
+    before its first block (``first == 0``); ``block[t]`` is the noise of
+    step ``first + t`` and is overwritten by the next block.
     """
-
-    def __init__(self, seed: int, steps: int, chunk: int, scale: float,
-                 draw_initial: Callable[[np.random.Generator], float]):
-        self.seed = seed
-        self.steps = steps
-        self.block_steps = min(steps, max(1, _NOISE_VALUES // _CHUNK))
-        self.scale = scale
-        self.draw_initial = draw_initial
-        self.rng = np.random.Generator(np.random.Philox())
-        self.noise = np.empty(chunk * self.block_steps)
-        self.tile_rows = min(_TILE, chunk)
-        self.tile = np.empty(self.tile_rows * self.block_steps)
-        self.streams = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
-
-    def blocks(self, start: int, q0: np.ndarray):
-        """Yield ``(first step, block)`` over the chunk of ``len(q0)`` trajectories
-        from ``start``, with ``block[t]`` the noise of step ``first + t``. Fills
-        ``q0`` before the first block; each block is overwritten by the next."""
-        width = len(q0)
-        rng = self.rng
-        streams = self.streams[:width]
-        _key_streams(streams, self.seed, start)
-        for first in range(0, self.steps, self.block_steps):
-            length = min(self.block_steps, self.steps - first)
-            more = first + length < self.steps
-            noise = self.noise[: length * width].reshape(length, width)
-            for top in range(0, width, self.tile_rows):
-                rows = min(self.tile_rows, width - top)
-                tile = self.tile[: rows * length].reshape(rows, length)
-                for j, row, stream in zip(range(top, top + rows), tile, streams[top:]):
+    chunk = min(_CHUNK, count, _NOISE_VALUES // held)
+    block_steps = min(steps, _NOISE_VALUES // _CHUNK)
+    tile_rows = min(_TILE, chunk)
+    noise = np.empty(chunk * block_steps)
+    tile = np.empty(tile_rows * block_steps)
+    table = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox())
+    for start in range(0, count, chunk):
+        width = min(chunk, count - start)
+        streams = table[:width]
+        _key_streams(streams, seed, start)
+        q0 = np.empty(width)
+        for first in range(0, steps, block_steps):
+            length = min(block_steps, steps - first)
+            more = first + length < steps
+            block = noise[: length * width].reshape(length, width)
+            for top in range(0, width, tile_rows):
+                rows = min(tile_rows, width - top)
+                drawn = tile[: rows * length].reshape(rows, length)
+                for j, row, stream in zip(range(top, top + rows), drawn, streams[top:]):
                     _resume_stream(rng, stream)
                     if first == 0:
-                        q0[j] = self.draw_initial(rng)
+                        q0[j] = draw_initial(rng)
                     rng.standard_normal(out=row)
                     if more:
                         _save_stream(rng, stream)
-                np.multiply(tile.T, self.scale, out=noise[:, top : top + rows])
-            yield first, noise
+                np.multiply(drawn.T, scale, out=block[:, top : top + rows])
+            yield start, q0, first, block
 
 
 def spawn_seed(seed: int, n: int, i: int) -> int:
@@ -224,17 +222,11 @@ def simulate(
     Only every ``record_stride``-th step is stored. ``observe``, if given,
     is called as ``observe(t, column)`` with every full-resolution column
     of each trajectory chunk, t = 0..steps, whatever ``record_stride`` is;
-    a column is never modified after the call, and an observer's ``d_tau``,
-    if it has one, must be the run's. With ``record_stride =
-    steps`` and an observer, memory is bounded by ``count`` however large
-    ``steps`` is: trajectories run in chunks of up to ``_CHUNK``, and the
-    noise drawn ahead for a chunk, blocks of ``_NOISE_VALUES // _CHUNK``
-    steps, is at most ``_NOISE_VALUES`` values (32 MiB) for every ``steps``.
-    Beside it sit a tile of ``_TILE`` trajectories' noise rows for one
-    block and the stream table, 13 words per trajectory of the chunk.
-    An observer with a ``held_columns`` attribute (``LagProducts``) keeps
-    that many columns of its chunk; the chunk narrows so that they, too,
-    hold at most ``_NOISE_VALUES`` values.
+    a column is never modified after the call. An observer's ``d_tau``, if
+    it has one, must be the run's, and its ``held_columns``, if it has
+    them, at most ``_NOISE_VALUES``. With ``record_stride = steps`` and an
+    observer, memory is bounded by ``count`` however large ``steps`` is:
+    ``_noise_blocks`` lays out the chunks, noise blocks and stream table.
     """
     params.validate()
     if not 0 < d_tau < math.inf:
@@ -248,7 +240,19 @@ def simulate(
     if steps % record_stride != 0:
         raise ValidationError("record_stride must divide steps")
     mode_state = _resolve_state(params, state, n, i)
-    _check_observer_d_tau(observe, d_tau)
+    # what an observer declares: the step its rates divide by, and the
+    # columns of its chunk it keeps (a lag ring)
+    observed_d_tau = getattr(observe, "d_tau", d_tau)
+    if observed_d_tau != d_tau:
+        raise ValidationError(
+            f"run d_tau = {d_tau} differs from the observer's d_tau = {observed_d_tau}"
+        )
+    held = getattr(observe, "held_columns", 1)
+    if held > _NOISE_VALUES:
+        raise ValidationError(
+            f"observer holds over {_NOISE_VALUES} columns of each trajectory, more than a "
+            "chunk may hold; for a correlator, lower dtau_lag / recorded spacing + 1"
+        )
 
     draw_initial = _initial_sampler(mode_state, init)
     nodes = mode_state.nodes()
@@ -257,44 +261,39 @@ def simulate(
     clamp_events = 0
     node_crossings = 0
 
-    # an observer that holds ``held_columns`` columns of its chunk (a lag
-    # ring) narrows the chunk, so that it holds at most _NOISE_VALUES values
-    held = getattr(observe, "held_columns", 1)
-    chunk = min(_CHUNK, count, max(1, _NOISE_VALUES // held))
-    source = _NoiseBlocks(seed, steps, chunk, math.sqrt(2.0 * mode_state.nu * d_tau), draw_initial)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        q = np.empty(stop - start)
-        for first, noise in source.blocks(start, q):
-            if first == 0:
-                _check_initial_drift(nodes, q, start)
-                samples[start:stop, 0] = q
-                if observe is not None:
-                    observe(0, q)
+    scale = math.sqrt(2.0 * mode_state.nu * d_tau)
+    for start, q0, first, noise in _noise_blocks(seed, count, steps, held, scale, draw_initial):
+        stop = start + len(q0)
+        if first == 0:
+            q = q0
+            _check_initial_drift(nodes, q, start)
+            samples[start:stop, 0] = q
+            if observe is not None:
+                observe(0, q)
+            if nodes.size:
+                domain = np.searchsorted(nodes, q)
+        # finiteness is checked explicitly each step; let overflows reach it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, dw in enumerate(noise, first + 1):
+                drift, clamped = mode_state.forward_drift_array(q)
+                clamp_events += clamped
+                # q + drift * d_tau + dw, built in the fresh drift array;
+                # the column an observer kept is never written again
+                drift *= d_tau
+                drift += q
+                drift += dw
+                q = drift
+                if not np.isfinite(q).all():
+                    j = int(np.argmax(~np.isfinite(q)))
+                    raise NonFiniteSampleError(start + j, t)
                 if nodes.size:
-                    domain = np.searchsorted(nodes, q)
-            # finiteness is checked explicitly each step; let overflows reach it
-            with np.errstate(over="ignore", invalid="ignore"):
-                for t, dw in enumerate(noise, first + 1):
-                    drift, clamped = mode_state.forward_drift_array(q)
-                    clamp_events += clamped
-                    # q + drift * d_tau + dw, built in the fresh drift array;
-                    # the column an observer kept is never written again
-                    drift *= d_tau
-                    drift += q
-                    drift += dw
-                    q = drift
-                    if not np.isfinite(q).all():
-                        j = int(np.argmax(~np.isfinite(q)))
-                        raise NonFiniteSampleError(start + j, t)
-                    if nodes.size:
-                        next_domain = np.searchsorted(nodes, q)
-                        node_crossings += int(np.count_nonzero(next_domain != domain))
-                        domain = next_domain
-                    if t % record_stride == 0:
-                        samples[start:stop, t // record_stride] = q
-                    if observe is not None:
-                        observe(t, q)
+                    next_domain = np.searchsorted(nodes, q)
+                    node_crossings += int(np.count_nonzero(next_domain != domain))
+                    domain = next_domain
+                if t % record_stride == 0:
+                    samples[start:stop, t // record_stride] = q
+                if observe is not None:
+                    observe(t, q)
 
     return Ensemble(
         state=mode_state,
@@ -340,13 +339,6 @@ def _check_initial_drift(nodes: np.ndarray, q0: np.ndarray, offset: int) -> None
         raise ValidationError(
             f"drift undefined at q_0={q0[j]} (density node), trajectory {offset + j}"
         )
-
-
-def _check_observer_d_tau(observer: Observer | None, d_tau: float) -> None:
-    """An observer that carries a ``d_tau`` (rates divide by it) must share the run's."""
-    observed = getattr(observer, "d_tau", d_tau)
-    if observed != d_tau:
-        raise ValidationError(f"run d_tau = {d_tau} differs from the observer's d_tau = {observed}")
 
 
 class RateBins:

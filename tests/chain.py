@@ -79,6 +79,18 @@ class EulerChain:
         backward rate in the stationary chain, where Var(q_{t-1} | q_t) = s^2."""
         return self.noise_variance / self.d_tau**2
 
+    def max_rate_error_mean(self, counts) -> float:
+        """E max_b |e_b| over independent e_b ~ N(0, rate_noise_variance / counts[b]):
+        the mean of the largest forward-rate error of F(q) = q over bins that hold
+        ``counts`` samples, each bin's error the mean of its samples' rate noise.
+
+        E max_b |e_b| = int_0^inf (1 - prod_b erf(x / (sd_b sqrt 2))) dx.
+        """
+        sd = np.sqrt(self.rate_noise_variance() / np.asarray(counts, dtype=float))
+        x = np.linspace(0.0, 10.0 * sd.max(), 1001)
+        below = np.prod([[math.erf(v) for v in x / (s * math.sqrt(2.0))] for s in sd], axis=0)
+        return float(np.trapezoid(1.0 - below, x))
+
 
 def z_bound(comparisons: int, single: float = 4.0) -> float:
     """|z| bound for ``comparisons`` tests with the family-wise false-alarm rate of

@@ -1,14 +1,17 @@
 import argparse
 import contextlib
+import shlex
 import signal
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from stochastic_string.cli import (
-    EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, _build_parser, _merge_config, run,
+    _COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, _bind_negative_values,
+    _build_parser, _merge_config, run,
 )
 from stochastic_string.core import StringParams
 from stochastic_string.drift import StationaryModeState
@@ -127,11 +130,23 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     (["bracket-check", "--points", "2"], "points = 2"),
     (["madelung-check", "--points", "2"], "points = 2"),
     (["bracket-check", "--points", "-1"], "points = -1"),
+    # k! of the density's normalization overflows a float from k = 171
+    (["simulate", "--n", "1", "--k", "171", "-M", "2", "--steps", "2"], "k = 171"),
+    (["madelung-check", "--n", "1", "--k", "171", "--points", "101"], "k = 171"),
+    # both ends finite, their difference not
+    (["bracket-check", "--x-min", "-1e308", "--x-max", "1e308", "--points", "11"],
+     "x_min = -1e+308, x_max = 1e+308"),
+    (["madelung-check", "--n", "1", "--x-min", "-1e308", "--x-max", "1e308", "--points", "11"],
+     "x_min = -1e+308, x_max = 1e+308"),
+    (["fpe-check", "--x-min", "-1e308", "--x-max", "1e308", "--points", "11", "-M", "5",
+      "--steps", "5"], "x_min = -1e+308, x_max = 1e+308"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
     "transport-n0", "simulate-init-nan", "simulate-init-inf", "simulate-init-abc",
     "fpe-points-2", "bracket-points-2", "madelung-points-2", "bracket-points-negative",
+    "simulate-k-171", "madelung-k-171", "bracket-span-overflow", "madelung-span-overflow",
+    "fpe-span-overflow",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -559,6 +574,28 @@ def test_transport_check_memory_independent_of_steps(tmp_path, monkeypatch):
         # a stored (count, steps + 1) ensemble would add 31 MB (fpe-check) or
         # 45 MB (transport-check) at 3200 steps
         assert abs(peaks[1] - peaks[0]) < 1e6, command
+
+
+@pytest.mark.parametrize("count, lag", [("2", "1e4"), ("5", "1e300")])
+def test_correlate_lag_ring_over_budget_exit_code(tmp_path, capsys, count, lag):
+    # 10^7 and about 10^303 recorded columns of lag: a chunk of one trajectory
+    # would still hold more than the 2^22 values of its budget
+    with _deadline(5):
+        code = run(["correlate", "-M", count, "--dtau-lag", lag,
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert "dtau_lag" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block names a subcommand
+    # and flags that the parser takes, and every subcommand has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("stochastic-string ")]
+    parser = _build_parser()
+    commands = [parser.parse_args(_bind_negative_values(argv[1:])).command for argv in lines]
+    assert sorted(commands) == sorted(_COMMANDS)
 
 
 def test_correlate_memory_independent_of_steps(tmp_path, monkeypatch):

@@ -74,6 +74,27 @@ def test_rate_bins_equal_the_chain():
         assert np.all(np.abs(z) <= bound), f"{direction}: z = {np.round(z, 2)}"
 
 
+def test_transport_deviation_mean_equals_the_chain():
+    # F(q) = q under a linear drift: bin b's error, its rate estimate minus the
+    # drift at its mean, is the mean of its c_b noise increments over d_tau,
+    # N(0, 2 nu / (d_tau c_b)) given the counts, so transport_deviation is the
+    # largest |error| of 7 independent bins
+    state = StationaryModeState(PARAMS, N)
+    chain = EulerChain.of(state, D_TAU)
+    runs, steps = 40, 50
+    excess = []
+    for seed in range(36, 36 + runs):
+        bins = sde.transport_bins(state, lambda x: x, D_TAU)
+        sde.simulate(
+            PARAMS, ModeStateSpec(), N, 1, d_tau=D_TAU, steps=steps, count=500, seed=seed,
+            record_stride=steps, observe=bins,
+        )
+        deviation = sde.transport_deviation(bins, state, np.ones_like, np.zeros_like)
+        excess.append(deviation - chain.max_rate_error_mean(bins.counts[0]))
+    z = np.mean(excess) / (np.std(excess, ddof=1) / math.sqrt(runs))
+    assert abs(z) <= z_bound(1), f"mean excess {np.mean(excess):.4f}: z = {z:.2f}"
+
+
 @dataclass(frozen=True)
 class _ScaledDiffusion(StringParams):
     """Every diffusion constant ``scale`` times the paper's: nu_n != 2 alpha' unless scale = 1."""
