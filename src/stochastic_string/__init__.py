@@ -7,7 +7,7 @@ plus an exact light-cone operator algebra certifying the critical
 dimension D = 26.
 """
 
-from .core import ModeStateSpec, StringParams, ValidationError, load_config, validate
+from .core import ModeStateSpec, StringParams, ValidationError, validate
 from .drift import StationaryModeState, UnsupportedStateError
 from .fpe import GridField
 from .sde import Ensemble
@@ -22,7 +22,6 @@ __all__ = [
     "StringParams",
     "UnsupportedStateError",
     "ValidationError",
-    "load_config",
     "validate",
     "__version__",
 ]

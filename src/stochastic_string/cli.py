@@ -24,16 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, fpe, observables, sde
-from .core import (
-    CONFIG_KEYS, ModeStateSpec, StringParams, ValidationError, load_config, write_artifact,
-)
+from .core import ModeStateSpec, StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# text -> value for each RunConfig field type: argparse values and header lines
+# the fields a --config file may set, each also a flag of every subcommand
+CONFIG_KEYS = ("alpha_prime", "dims", "mode_cutoff", "p_plus", "seed")
+# text -> value for each RunConfig field type: argparse values, config files and header lines
 _FROM_TEXT = {"int": int, "float": float, "str": str, "bool": "True".__eq__}
 
 
@@ -88,6 +88,32 @@ class RunConfig:
             for f in fields(RunConfig) if f.name in values
         })
 
+    @staticmethod
+    def config_file_values(path: str | Path) -> dict[str, object]:
+        """``key = value`` lines of a config file, each typed as its field.
+
+        Blank and ``#`` lines are skipped. A key outside ``CONFIG_KEYS`` or a
+        value not of its field's type is a ValidationError naming the line;
+        the values are validated with the run's config, after the flags.
+        """
+        types = {f.name: f.type for f in fields(RunConfig)}
+        values: dict[str, object] = {}
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, text = (part.strip() for part in line.partition("="))
+            if key not in CONFIG_KEYS:
+                raise ValidationError(f"config line {lineno}: unknown key {key!r}, "
+                                      f"not one of {', '.join(CONFIG_KEYS)}")
+            try:
+                values[key] = _FROM_TEXT[types[key]](text)
+            except ValueError:
+                raise ValidationError(
+                    f"config line {lineno}: {key} = {text!r} is not a valid {types[key]}"
+                ) from None
+        return values
+
 
 class _Parser(argparse.ArgumentParser):
     # unknown flags and malformed values are configuration mistakes: exit 1
@@ -127,13 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, timestamp=not args.no_timestamp)
-    if args.config:
-        params, seed = load_config(args.config)
-        for f in fields(StringParams):
-            setattr(cfg, f.name, getattr(params, f.name))
-        if seed is not None:
-            cfg.seed = seed
+    cfg = RunConfig(
+        command=args.command, timestamp=not args.no_timestamp,
+        **(RunConfig.config_file_values(args.config) if args.config else {}),
+    )
     for f in fields(RunConfig):
         if getattr(args, f.name, None) is not None:
             setattr(cfg, f.name, getattr(args, f.name))
@@ -182,10 +205,6 @@ def _cmd_simulate(cfg: RunConfig, out: str) -> int:
 
 def _cmd_correlate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    if not 0 < cfg.d_tau < math.inf:
-        raise ValidationError(f"d_tau must be finite and positive, got {cfg.d_tau}")
-    if cfg.record_stride < 1:
-        raise ValidationError(f"record_stride must be >= 1, got {cfg.record_stride}")
     state = ModeStateSpec()
     lag_steps = observables.recorded_lag(cfg.dtau_lag, cfg.d_tau * cfg.record_stride)
     steps = max(2 * lag_steps, lag_steps + round(1.0 / (cfg.d_tau * cfg.record_stride)))
@@ -377,11 +396,12 @@ def run(argv: list[str] | None = None) -> int:
         except MemoryError:
             # name only the size fields the command takes, with their flags
             taken = _COMMANDS[cfg.command][2].split()
-            sizes = [f for f in ("count", "steps", "points") if f in taken]
+            sizes = [f for f in ("count", "steps", "points", "max_level") if f in taken]
             message = "out of memory"
             if sizes:
                 message += " for " + " and ".join(f"{f} = {getattr(cfg, f)}" for f in sizes)
-                flags = ("-M/--count" if f == "count" else f"--{f}" for f in sizes)
+                flags = ("-M/--count" if f == "count" else "--" + f.replace("_", "-")
+                         for f in sizes)
                 message += "; lower " + " or ".join(flags)
             raise ValidationError(message) from None
         except sde.InsufficientSamplesError as exc:

@@ -19,9 +19,6 @@ class ValidationError(ValueError):
     """Raised when parameters or state data violate an invariant."""
 
 
-CONFIG_KEYS = ("alpha_prime", "dims", "mode_cutoff", "p_plus", "seed")
-
-
 @dataclass(frozen=True)
 class StringParams:
     """Immutable physical constants of one string setup.
@@ -106,7 +103,7 @@ class ModeStateSpec:
                     f"direction = {i} outside 1..{params.transverse_count}"
                 )
             if k < 0:
-                raise ValidationError(f"occupation must be >= 0, got {k} at ({n},{i})")
+                raise ValidationError(f"occupation must be >= 0, got k = {k} at ({n},{i})")
         if self.zero_mode_momentum and len(self.zero_mode_momentum) != params.transverse_count:
             raise ValidationError(
                 f"zero_mode_momentum needs {params.transverse_count} components, "
@@ -117,40 +114,6 @@ class ModeStateSpec:
         if not self.zero_mode_momentum:
             return 0.0
         return self.zero_mode_momentum[i - 1]
-
-
-def parse_config(text: str) -> dict[str, float | int]:
-    """Parse ``key = value`` configuration text.
-
-    Recognised keys: alpha_prime, dims, mode_cutoff, p_plus, seed. Blank
-    lines and lines starting with ``#`` are ignored.
-    """
-    values: dict[str, float | int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {lineno} is not 'key = value': {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ValidationError(f"unknown config key {key!r} on line {lineno}")
-        if key in ("dims", "mode_cutoff", "seed"):
-            values[key] = int(value)
-        else:
-            values[key] = float(value)
-    return values
-
-
-def load_config(path: str | Path) -> tuple[StringParams, int | None]:
-    """Read parameters (and an optional seed) from a config file."""
-    values = parse_config(Path(path).read_text())
-    seed = values.pop("seed", None)
-    params = StringParams(**{"alpha_prime": 0.5, **values})
-    params.validate()
-    return params, seed
 
 
 def write_artifact(path: str | Path, header_lines: Iterable[str], chunks: Iterable[str]) -> Path:

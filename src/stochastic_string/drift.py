@@ -113,9 +113,13 @@ class StationaryModeState:
         beta = self.scale
         xi = beta * np.asarray(x, dtype=float)
         norm = beta * 2.0**self.k / (math.sqrt(math.pi) * math.factorial(self.k))
-        out = norm * np.exp(-(xi**2))
+        # the node factors go into the exponent: multiplied in after exp(-xi^2)
+        # they meet an underflowed tail at high k
+        log_nodes = 0.0
         for root in self._roots:
-            out = out * (xi - root) ** 2
+            with np.errstate(divide="ignore"):  # -inf exactly at the node
+                log_nodes = log_nodes + np.log(np.abs(xi - root))
+        out = norm * np.exp(-(xi**2) + 2.0 * log_nodes)
         return out if out.ndim else float(out)
 
     def log_density_gradient(self, x):

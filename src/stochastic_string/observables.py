@@ -61,8 +61,13 @@ def _standard_error(values: np.ndarray) -> float:
 def recorded_lag(delta_tau: float, spacing: float) -> int:
     """Recorded columns spanning the lag ``delta_tau``, ``spacing`` apart.
 
-    The lag must be a non-negative whole multiple of the spacing, to 1e-9.
+    The lag must be a non-negative whole multiple of the spacing, to 1e-9,
+    and the spacing finite and positive.
     """
+    if not 0 < spacing < math.inf:
+        raise ValidationError(
+            f"recorded spacing d_tau * record_stride must be finite and positive, got {spacing}"
+        )
     if 0 <= delta_tau < math.inf:
         lag_steps = round(delta_tau / spacing)
         if abs(lag_steps * spacing - delta_tau) <= 1.0e-9:
@@ -87,6 +92,8 @@ class LagProducts:
     def __init__(self, state: StationaryModeState, d_tau: float, record_stride: int,
                  lags: Sequence[int]):
         _require_ground_state(state)
+        if record_stride < 1:
+            raise ValidationError(f"record_stride must be >= 1, got {record_stride}")
         if min(lags) < 0:
             raise ValidationError(f"lag {min(lags)} outside recorded range")
         self.state = state
@@ -231,13 +238,15 @@ def level_spectrum(params: StringParams, max_level: int) -> list[SpectrumLevel]:
     """
     if max_level < 0:
         raise ValidationError("max_level must be >= 0")
-    # coefficients of prod_n (1 - q^n)^-(D-2): one factor 1/(1 - q^n) per
-    # (mode, direction), each a knapsack pass over the levels
+    # coefficients of prod_n (1 - q^n)^-(D-2), one pass per mode n with the
+    # binomial series (1 - q^n)^-T = sum_j C(T + j - 1, j) q^(jn), T = D - 2
     ways = [1] + [0] * max_level
     for n in range(1, max_level + 1):
-        for _ in range(params.transverse_count):
-            for level in range(n, max_level + 1):
-                ways[level] += ways[level - n]
+        weights = [math.comb(params.transverse_count + j - 1, j) for j in range(max_level // n + 1)]
+        ways = [
+            sum(weights[j] * ways[level - j * n] for j in range(level // n + 1))
+            for level in range(max_level + 1)
+        ]
     return [SpectrumLevel(N, float(N), ways[N]) for N in range(max_level + 1)]
 
 

@@ -130,6 +130,10 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     (["bracket-check", "--points", "2"], "points = 2"),
     (["madelung-check", "--points", "2"], "points = 2"),
     (["bracket-check", "--points", "-1"], "points = -1"),
+    (["simulate", "--k", "-1", "-M", "5", "--steps", "5"], "k = -1"),
+    # a list of 10^18 levels is refused as out of memory before anything is allocated
+    (["spectrum", "--max-level", "1000000000000000000"],
+     "max_level = 1000000000000000000; lower --max-level"),
     # k! of the density's normalization overflows a float from k = 171
     (["simulate", "--n", "1", "--k", "171", "-M", "2", "--steps", "2"], "k = 171"),
     (["madelung-check", "--n", "1", "--k", "171", "--points", "101"], "k = 171"),
@@ -145,6 +149,7 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
     "transport-n0", "simulate-init-nan", "simulate-init-inf", "simulate-init-abc",
     "fpe-points-2", "bracket-points-2", "madelung-points-2", "bracket-points-negative",
+    "simulate-k-negative", "spectrum-max-level-out-of-memory",
     "simulate-k-171", "madelung-k-171", "bracket-span-overflow", "madelung-span-overflow",
     "fpe-span-overflow",
 ])
@@ -455,6 +460,14 @@ def test_spectrum_output(tmp_path):
     assert body.endswith("\n# zeta_intercept = 1.0\n")
 
 
+def test_spectrum_time_independent_of_dims(tmp_path):
+    with _deadline(2):
+        code = run(["spectrum", "--dims", "1000000000000", "--max-level", "3",
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_OK
+    assert "\n1 1.0 999999999998\n" in (tmp_path / "spectrum.txt").read_text()
+
+
 def test_bracket_check(tmp_path, capsys):
     code = run(["bracket-check", "--points", "1001", "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_OK
@@ -473,6 +486,43 @@ def test_config_file_and_flag_override(tmp_path):
     header = (out / "spectrum.txt").read_text()
     assert "config.dims = 26" in header  # flag wins
     assert "config.seed = 4" in header   # file value survives
+
+
+def test_config_file_sets_every_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# comment\nalpha_prime = 0.25\n\ndims = 10\nmode_cutoff = 3\np_plus = 2.0\nseed = 99\n"
+    )
+    assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path),
+                "--no-timestamp"]) == EXIT_OK
+    read = RunConfig.from_header(tmp_path / "spectrum.txt")
+    assert read.params() == StringParams(alpha_prime=0.25, dims=10, mode_cutoff=3, p_plus=2.0)
+    assert read.seed == 99
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alpha = 1\n", "config line 1: unknown key 'alpha'"),
+    ("# comment\n\ndims 26\n", "config line 3: unknown key 'dims 26'"),
+    ("seed = 1e3\n", "config line 1: seed = '1e3' is not a valid int"),
+    ("dims = 26\nalpha_prime = x\n", "config line 2: alpha_prime = 'x' is not a valid float"),
+    ("alpha_prime = -2\n", "alpha_prime must be finite and positive, got -2.0"),
+], ids=["unknown-key", "malformed-line", "seed-not-int", "alpha-prime-not-float",
+        "alpha-prime-negative"])
+def test_bad_config_file_exit_code(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = run(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_value_overridden_by_flag(tmp_path):
+    # the merged config is validated once, so a flag can mend a bad file value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha_prime = -2\n")
+    code = run(["spectrum", "--config", str(cfg), "--alpha-prime", "0.5", "--out", str(tmp_path),
+                "--no-timestamp"])
+    assert code == EXIT_OK
 
 
 def test_header_round_trips_to_config(tmp_path):

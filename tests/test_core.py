@@ -4,8 +4,6 @@ from stochastic_string.core import (
     ModeStateSpec,
     StringParams,
     ValidationError,
-    load_config,
-    parse_config,
     validate,
 )
 
@@ -56,24 +54,3 @@ def test_mode_state_validation(params):
     with pytest.raises(ValidationError):
         ModeStateSpec(zero_mode_momentum=(1.0, 2.0)).validate(params)
 
-
-def test_config_round_trip(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# comment\nalpha_prime = 0.25\ndims = 10\nmode_cutoff = 3\np_plus = 2.0\nseed = 99\n"
-    )
-    params, seed = load_config(cfg)
-    assert params == StringParams(alpha_prime=0.25, dims=10, mode_cutoff=3, p_plus=2.0)
-    assert seed == 99
-
-
-def test_config_rejects_unknown_key():
-    with pytest.raises(ValidationError):
-        parse_config("alpha = 1\n")
-
-
-def test_config_rejects_bad_params(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("alpha_prime = -2\n")
-    with pytest.raises(ValidationError):
-        load_config(cfg)

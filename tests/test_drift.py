@@ -31,6 +31,14 @@ def test_density_normalized(params, n, k):
     assert quad_moment(state, 0) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("k", [100, 140, 170])
+def test_density_mass_at_high_occupation(k):
+    # the tails must not underflow before the node factors multiply them back up
+    state = StationaryModeState(StringParams(alpha_prime=0.5, dims=26, mode_cutoff=4), 1, k)
+    x = np.linspace(-40.0, 40.0, 400_001)
+    assert abs(np.trapezoid(state.density(x), x) - 1.0) <= 1e-9
+
+
 def test_first_excited_state_node_at_origin(params):
     state = StationaryModeState(params, 1, 1)
     assert state.density(0.0) == 0.0

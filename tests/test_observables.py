@@ -76,6 +76,18 @@ def test_mode_correlator_validation(ground_products, params):
         ground_products.estimate(32)
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_lag_products_reject_record_stride_below_one(stride):
+    with pytest.raises(ValidationError, match=f"record_stride must be >= 1, got {stride}"):
+        LagProducts(StationaryModeState(GROUND_PARAMS, 1), 1e-3, stride, [0, 1])
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_recorded_lag_rejects_bad_spacing(spacing):
+    with pytest.raises(ValidationError, match=r"d_tau \* record_stride"):
+        observables.recorded_lag(1.0, spacing)
+
+
 def test_correlators_need_two_trajectories(params):
     # one trajectory has no spread to take a standard error from
     single = LagProducts(StationaryModeState(params, 1), 1e-3, 1, [0, 2])
