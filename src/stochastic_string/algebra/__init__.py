@@ -12,12 +12,10 @@ from .brackets import (
 from .lorentz import (
     AlgebraConsistencyError,
     TruncationError,
-    UnsupportedComponentError,
     anomaly_coefficient,
     anomaly_report,
     anomaly_value_direct,
     format_anomaly_report,
-    lorentz_generator,
 )
 from .operators import (
     OperatorExpr,
@@ -37,7 +35,6 @@ __all__ = [
     "OperatorExpr",
     "PolyDA",
     "TruncationError",
-    "UnsupportedComponentError",
     "annihilation",
     "anomaly_coefficient",
     "anomaly_report",
@@ -49,7 +46,6 @@ __all__ = [
     "expectation",
     "format_anomaly_report",
     "identity",
-    "lorentz_generator",
     "mean_momentum",
     "mean_position",
     "momentum",

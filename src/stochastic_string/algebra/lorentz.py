@@ -1,9 +1,8 @@
-"""Light-cone Lorentz generators and the critical-dimension anomaly.
+"""The light-cone Lorentz generators M^{i-} and the critical-dimension anomaly.
 
-The generators use the standard light-cone mode expansion consistent with
-the gauge x^+ = p^+ tau: transverse rotations M^{ij} are quadratic in the
-ladder operators, while M^{i-} carries the constraint-solved minus
-oscillators, i.e. transverse Virasoro combinations divided by p^+. The
+M^{i-} uses the standard light-cone mode expansion consistent with the
+gauge x^+ = p^+ tau: it carries the constraint-solved minus oscillators,
+i.e. transverse Virasoro combinations divided by p^+. The
 x0^- p^i zero-mode term is omitted: it cannot be expressed with the
 transverse alphabet and contributes no pure-oscillator bilinear to the
 [M^{i-}, M^{j-}] commutator, so the anomaly extraction below is unaffected.
@@ -34,10 +33,6 @@ AlphaTerm = tuple[Coeff, tuple]
 
 class TruncationError(ValueError):
     """Mode cutoff too small for the requested anomaly coefficient."""
-
-
-class UnsupportedComponentError(ValueError):
-    """Lorentz component outside the implemented light-cone alphabet."""
 
 
 class AlgebraConsistencyError(RuntimeError):
@@ -153,65 +148,6 @@ def m_minus_expr(
     return alpha_terms_to_expr(
         m_minus_alpha_terms(i, transverse, n_max, alpha_prime, p_plus, intercept)
     )
-
-
-def transverse_rotation_expr(i: int, j: int, n_max: int) -> OperatorExpr:
-    """M^{ij} = x^i p^j - x^j p^i - i sum_n (ad_{n,i} a_{n,j} - ad_{n,j} a_{n,i})."""
-    minus_i = Coeff.imaginary(-1)
-    raw = [
-        (ONE, (("x", i), ("p", j))),
-        (Coeff.rational(-1), (("x", j), ("p", i))),
-    ]
-    for n in range(1, n_max + 1):
-        raw.append((minus_i, (("c", n, i), ("a", n, j))))
-        raw.append((Coeff.imaginary(1), (("c", n, j), ("a", n, i))))
-    return OperatorExpr.from_raw_terms(raw)
-
-
-def lorentz_generator(component: tuple, params: StringParams) -> OperatorExpr:
-    """Mode expansion of M^{component} with oscillator sums cut at mode_cutoff.
-
-    ``component`` is a pair drawn from transverse indices (integers) and the
-    light-cone labels "+"/"-". M^{i-} is returned at the critical intercept
-    a = 1. The (+,-) component needs the x0^- zero mode, which is outside
-    the transverse operator alphabet, and is rejected.
-    """
-    if len(component) != 2:
-        raise UnsupportedComponentError(f"component must be a pair, got {component!r}")
-    mu, nu = component
-    if mu == nu:
-        if isinstance(mu, int):
-            return OperatorExpr()
-        raise UnsupportedComponentError(f"invalid component {component!r}")
-    ap, pp = _exact_params(params)
-    t = params.transverse_count
-    n_max = params.mode_cutoff
-
-    def check_dir(idx):
-        if not (isinstance(idx, int) and 1 <= idx <= t):
-            raise UnsupportedComponentError(
-                f"transverse index {idx!r} outside 1..{t}"
-            )
-
-    if isinstance(mu, int) and isinstance(nu, int):
-        check_dir(mu)
-        check_dir(nu)
-        return transverse_rotation_expr(mu, nu, n_max)
-    if {mu, nu} == {"+", "-"}:
-        raise UnsupportedComponentError(
-            "M^{+-} requires the x0^- zero mode, which the transverse alphabet omits"
-        )
-    label = mu if isinstance(mu, str) else nu
-    idx = nu if isinstance(mu, str) else mu
-    check_dir(idx)
-    sign = 1 if isinstance(mu, int) else -1
-    if label == "+":
-        # gauge x^+ = p^+ tau at tau = 0: M^{i+} = p^+ x^i
-        return OperatorExpr({(("x", idx),): Coeff.rational(sign * pp)})
-    if label == "-":
-        expr = m_minus_expr(idx, t, n_max, ap, pp, Fraction(1))
-        return expr if sign == 1 else expr.scale(-1)
-    raise UnsupportedComponentError(f"invalid component {component!r}")
 
 
 def _anomalous_coeff(m: int, *pairs: tuple[OperatorExpr, OperatorExpr]) -> Fraction:

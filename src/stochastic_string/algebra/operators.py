@@ -145,18 +145,6 @@ class OperatorExpr:
             [(c1 * c2, w1 + w2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()]
         )
 
-    def dagger(self) -> "OperatorExpr":
-        raw = []
-        for word, coeff in self.terms.items():
-            flipped = tuple(
-                ("a", t[1], t[2]) if t[0] == "c"
-                else ("c", t[1], t[2]) if t[0] == "a"
-                else t
-                for t in reversed(word)
-            )
-            raw.append((coeff.conjugate(), flipped))
-        return OperatorExpr.from_raw_terms(raw)
-
     # -- queries -----------------------------------------------------------
     def coefficient(self, word: Word) -> Coeff:
         return self.terms.get(tuple(word), Coeff.zero())

@@ -128,9 +128,6 @@ class Coeff:
     __mul__ = _product
     scale = _scaled
 
-    def conjugate(self) -> "Coeff":
-        return Coeff({k: (re, -im) for k, (re, im) in self.terms.items()})
-
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -198,10 +195,6 @@ class PolyDA:
 
     def coefficient(self, d_power: int, a_power: int) -> Fraction:
         return self.coeffs.get((d_power, a_power), Fraction(0))
-
-    def scale(self, value) -> "PolyDA":
-        fr = Fraction(value)
-        return PolyDA({k: c * fr for k, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyDA) and self.coeffs == other.coeffs

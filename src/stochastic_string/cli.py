@@ -396,7 +396,7 @@ def run(argv: list[str] | None = None) -> int:
         except MemoryError:
             # name only the size fields the command takes, with their flags
             taken = _COMMANDS[cfg.command][2].split()
-            sizes = [f for f in ("count", "steps", "points", "max_level") if f in taken]
+            sizes = [f for f in ("count", "steps", "points") if f in taken]
             message = "out of memory"
             if sizes:
                 message += " for " + " and ".join(f"{f} = {getattr(cfg, f)}" for f in sizes)

@@ -2,8 +2,10 @@
 
 The same stationary data that drives the SDE must solve, on a grid, the
 Fokker-Planck equation, the continuity equation, and the single-mode
-Madelung (Hamilton-Jacobi) equation, and the polar-form wave function
-rebuilt from (rho, S) must satisfy the discretized eigenvalue relation.
+Madelung (Hamilton-Jacobi) equation. For the polar-form wave function
+psi = sqrt(rho) e^{iS}, the continuity and Madelung equations are the
+imaginary and real parts of H psi = E psi divided by psi, so together
+they check the eigenvalue relation.
 The Fokker-Planck equation is stepped explicitly with exponentially
 fitted Scharfetter-Gummel fluxes (Scharfetter & Gummel, IEEE TED 16,
 1969; Chang & Cooper, J. Comput. Phys. 6, 1970) and reflecting (no-flux)
@@ -256,30 +258,6 @@ def madelung_residual(
         max_residual=float(np.max(residual[keep])),
         node_window_residual=float(finite_excluded.max()) if finite_excluded.size else 0.0,
         excluded_points=int(np.count_nonzero(~keep)),
-    )
-
-
-def eigen_residual(
-    field: GridField, params: StringParams, state: StationaryModeState,
-    energy: float | None = None,
-) -> float:
-    """Relative residual of H psi = E psi for psi = sqrt(rho) e^{iS}.
-
-    H is the discretized single-mode Hamiltonian -2 alpha' d^2/dx^2
-    + n^2 x^2 / (8 alpha'). Uses the L2 norm over the interior, excluding
-    the 5h node windows: the polar amplitude sqrt(rho) has a kink where
-    the true eigenfunction changes sign.
-    """
-    if energy is None:
-        energy = state.energy()
-    ap = params.alpha_prime
-    psi = np.sqrt(field.rho) * np.exp(1j * field.S)
-    lap = _second_difference(psi, field.h)
-    h_psi = -2.0 * ap * lap + state.n**2 * field.x[1:-1] ** 2 / (8.0 * ap) * psi[1:-1]
-    err = h_psi - energy * psi[1:-1]
-    keep = _off_node_windows(field, state)
-    return float(
-        np.linalg.norm(err[keep]) / np.linalg.norm(energy * psi[1:-1][keep])
     )
 
 

@@ -1,4 +1,4 @@
-"""Physics outputs: mode correlators, string reconstruction, level spectrum.
+"""Physics outputs: mode correlators and the level spectrum.
 
 The two-point function of a ground-state mode n decays as
 (2 alpha'/n) exp(-n dtau) in the Euclidean evolution parameter, and the
@@ -62,14 +62,17 @@ def recorded_lag(delta_tau: float, spacing: float) -> int:
     """Recorded columns spanning the lag ``delta_tau``, ``spacing`` apart.
 
     The lag must be a non-negative whole multiple of the spacing, to 1e-9,
-    and the spacing finite and positive.
+    spanning a finite number of columns, and the spacing finite and
+    positive with a finite reciprocal (none below about 5.6e-309).
     """
-    if not 0 < spacing < math.inf:
+    if not (0 < spacing < math.inf and 1.0 / spacing < math.inf):
         raise ValidationError(
-            f"recorded spacing d_tau * record_stride must be finite and positive, got {spacing}"
+            f"recorded spacing d_tau * record_stride must be finite and positive, "
+            f"with a finite reciprocal, got {spacing}"
         )
-    if 0 <= delta_tau < math.inf:
-        lag_steps = round(delta_tau / spacing)
+    columns = delta_tau / spacing
+    if 0 <= columns < math.inf:
+        lag_steps = round(columns)
         if abs(lag_steps * spacing - delta_tau) <= 1.0e-9:
             return lag_steps
     raise ValidationError(
@@ -142,12 +145,6 @@ def analytic_correlator(params: StringParams, n: int, delta_tau: float) -> float
     return 2.0 * params.alpha_prime / n * math.exp(-n * delta_tau)
 
 
-def analytic_summed_correlator(params: StringParams, delta_tau: float, n_max: int) -> float:
-    return (params.dims - 2) * 2.0 * params.alpha_prime * sum(
-        math.exp(-n * delta_tau) / n for n in range(1, n_max + 1)
-    )
-
-
 def fit_log_slope(estimates: Sequence[CorrelatorEstimate]) -> float:
     """Least-squares slope of log correlator value against lag."""
     lags = np.array([e.delta_tau for e in estimates])
@@ -187,39 +184,10 @@ def summed_correlator(
     return total, math.sqrt(variance)
 
 
-def reconstruct_string(amplitudes: Sequence[float], sigma: np.ndarray) -> np.ndarray:
-    """Transverse profile x(sigma) = sum_n q_n cos(n sigma) on sigma in [0, pi]."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size and (sigma.min() < -1.0e-12 or sigma.max() > math.pi + 1.0e-12):
-        raise ValidationError("sigma grid must lie in [0, pi]")
-    out = np.zeros_like(sigma)
-    for n, q in enumerate(amplitudes):
-        out += q * np.cos(n * sigma)
-    return out
-
-
-def cosine_sample_grid(points: int) -> np.ndarray:
-    """Half-integer sigma grid on which the cosine analysis is exact."""
-    j = np.arange(points)
-    return math.pi * (j + 0.5) / points
-
-
-def cosine_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Recover q_0..q_{n_modes} from samples on :func:`cosine_sample_grid`.
-
-    Discrete cosine orthogonality makes this exact when the profile
-    contains no modes beyond n_modes and the grid has > n_modes points.
-    """
-    values = np.asarray(values, dtype=float)
-    m = len(values)
-    if m <= n_modes:
-        raise ValidationError("need more sample points than modes")
-    sigma = cosine_sample_grid(m)
-    coeffs = np.empty(n_modes + 1)
-    for n in range(n_modes + 1):
-        factor = 1.0 if n == 0 else 2.0
-        coeffs[n] = factor / m * np.sum(values * np.cos(n * sigma))
-    return coeffs
+# largest max_level of level_spectrum, checked before any work: the pass is
+# quadratic in max_level over ever longer integers, about 1 s at 1000 and
+# 5 s at 2000 for D = 26, and slower as D grows
+MAX_LEVEL = 1000
 
 
 @dataclass(frozen=True)
@@ -238,6 +206,11 @@ def level_spectrum(params: StringParams, max_level: int) -> list[SpectrumLevel]:
     """
     if max_level < 0:
         raise ValidationError("max_level must be >= 0")
+    if max_level > MAX_LEVEL:
+        raise ValidationError(
+            f"max_level must be <= {MAX_LEVEL}, as the time grows as about max_level^2.2; "
+            f"got max_level = {max_level}; lower --max-level"
+        )
     # coefficients of prod_n (1 - q^n)^-(D-2), one pass per mode n with the
     # binomial series (1 - q^n)^-T = sum_j C(T + j - 1, j) q^(jn), T = D - 2
     ways = [1] + [0] * max_level

@@ -217,3 +217,19 @@ def commutator_application(
         ore, oim = out.get(key, (Fraction(0), Fraction(0)))
         out[key] = (ore - re, oim - im)
     return {k: v for k, v in out.items() if v[0] or v[1]}
+
+
+def dagger(expr: OperatorExpr) -> OperatorExpr:
+    """Hermitian adjoint: each word reversed with a and c swapped, its
+    coefficient conjugated (sqrt radicals are real)."""
+    raw = []
+    for word, coeff in expr.terms.items():
+        flipped = tuple(
+            ("a", t[1], t[2]) if t[0] == "c"
+            else ("c", t[1], t[2]) if t[0] == "a"
+            else t
+            for t in reversed(word)
+        )
+        conjugate = Coeff({r: (re, -im) for r, (re, im) in coeff.terms.items()})
+        raw.append((conjugate, flipped))
+    return OperatorExpr.from_raw_terms(raw)

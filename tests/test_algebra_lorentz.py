@@ -9,6 +9,7 @@ from fock import (
     apply_expr,
     basis_state,
     commutator_application,
+    dagger,
     lift_gaussian_state,
     states_equal,
     substitute_alpha_terms,
@@ -18,13 +19,11 @@ from stochastic_string.algebra.brackets import expectation
 from stochastic_string.algebra.lorentz import (
     AlgebraConsistencyError,
     TruncationError,
-    UnsupportedComponentError,
     alpha_terms_to_expr,
     anomaly_coefficient,
     anomaly_report,
     anomaly_value_direct,
     intercept_term,
-    lorentz_generator,
     m_minus_alpha_terms,
     m_minus_expr,
     virasoro_alpha_terms,
@@ -33,9 +32,7 @@ from stochastic_string.algebra.operators import (
     OperatorExpr,
     annihilation,
     commutator,
-    creation,
     identity,
-    position,
 )
 from stochastic_string.algebra.scalars import Coeff, PolyDA, solve_affine_system
 
@@ -87,46 +84,6 @@ def test_virasoro_commutator_mixed_modes():
     assert exprs_equal_on(lhs, rhs, states(LOW_STATES))
 
 
-def test_rotation_generator_rotates_ladder_index(params):
-    m12 = lorentz_generator((1, 2), params)
-    assert commutator(m12, creation(1, 1)) == creation(1, 2).scale(Coeff.imaginary(1))
-
-
-def test_rotation_generator_antisymmetry(params):
-    assert lorentz_generator((1, 1), params).is_zero()
-    m12 = lorentz_generator((1, 2), params)
-    m21 = lorentz_generator((2, 1), params)
-    assert (m12 + m21).is_zero()
-
-
-def test_rotation_algebra_closes(params):
-    # [M^{ij}, M^{kl}] = -i (d_jk M^il - d_ik M^jl - d_jl M^ik + d_il M^jk)
-    small = StringParams(alpha_prime=0.5, dims=5, mode_cutoff=2)
-    m = {pair: lorentz_generator(pair, small) for pair in [(1, 2), (2, 3), (1, 3)]}
-    lhs = commutator(m[(1, 2)], m[(2, 3)])
-    assert lhs == m[(1, 3)].scale(Coeff.imaginary(-1))
-    # disjoint index pairs commute outright
-    bigger = StringParams(alpha_prime=0.5, dims=7, mode_cutoff=2)
-    m12 = lorentz_generator((1, 2), bigger)
-    m34 = lorentz_generator((3, 4), bigger)
-    assert commutator(m12, m34).is_zero()
-
-
-def test_m_plus_component(params):
-    mi_plus = lorentz_generator((1, "+"), params)
-    assert mi_plus == position(1).scale(Fraction(1))
-    assert lorentz_generator(("+", 1), params) == position(1).scale(-1)
-
-
-def test_plus_minus_component_rejected(params):
-    with pytest.raises(UnsupportedComponentError):
-        lorentz_generator(("+", "-"), params)
-    with pytest.raises(UnsupportedComponentError):
-        lorentz_generator((0, 2), params)
-    with pytest.raises(UnsupportedComponentError):
-        lorentz_generator((1, 99), params)
-
-
 def test_m_minus_vacuum_expectation(params):
     # normal-ordered M^{i-} has vanishing vacuum expectation at a = 0;
     # oracle: state application in the aux representation
@@ -138,7 +95,7 @@ def test_m_minus_vacuum_expectation(params):
 
 def test_m_minus_hermitian():
     expr = m_minus_expr(1, 3, 2, AP, PP, intercept=Fraction(1))
-    assert expr.dagger() == expr
+    assert dagger(expr) == expr
 
 
 def test_m_minus_component_at_critical_intercept():
@@ -146,9 +103,7 @@ def test_m_minus_component_at_critical_intercept():
     # alpha' = 1/2, p+ = 1, M^{1-} = {x, p^2/2 + N - a}/2 plus oscillator terms
     # that vanish in number states, so a unit-width Gaussian at mean 0.7 gives
     # 0.7 (1/8 + N - 1) at the critical intercept a = 1
-    small = StringParams(alpha_prime=0.5, dims=3, mode_cutoff=2)
-    m_minus = lorentz_generator((1, "-"), small)
-    assert m_minus == m_minus_expr(1, 1, 2, AP, PP, 1)
+    m_minus = m_minus_expr(1, 1, 2, AP, PP, 1)
     field = gaussian_field(-8, 8, 801, 0.7, 1.0)
     for occupations, level in (({}, 0), ({(1, 1): 1}, 1)):
         value = expectation(m_minus, ModeStateSpec(occupations=occupations), field)

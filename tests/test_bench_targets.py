@@ -5,15 +5,19 @@ renaming one of them would break the traced benchmark run. Some targets
 also count work read from their arguments or results, so a change to what a
 target takes or returns would break the count. The module is loaded
 read-only here: its targets are resolved the way ``install`` resolves them,
-each counter is evaluated on one small real call, and nothing is wrapped.
-The ``simulate_export`` workload's check in ``bench/workloads.py`` also
-reads a stored run (``samples``, ``recorded_taus()``), so it runs here once
-at a small size; the ``transport_check`` and ``relaxation`` checks run at
-the reduced sizes of the benchmark's own tests.
+each counter is evaluated on one small real call, and nothing is wrapped
+in this process; ``install`` itself wraps every target once, in a fresh
+interpreter. The ``simulate_export`` workload's check in
+``bench/workloads.py`` also reads a stored run (``samples``,
+``recorded_taus()``), so it runs here once at a small size; the
+``transport_check`` and ``relaxation`` checks run at the reduced sizes of
+the benchmark's own tests.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +54,36 @@ def test_traced_target_resolves(module_name, attr):
         assert callable(vars(getattr(module, cls_name)).get(method))
     else:
         assert callable(getattr(module, attr, None))
+
+
+_INSTALL_SCRIPT = """
+import importlib, sys
+import spans
+from stochastic_string import cli
+tracer = spans.Tracer()
+spans.install(tracer)
+unwrapped = []
+for module_name, attr, _ in spans.TARGETS:
+    target = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
+    for part in attr.split("."):
+        target = getattr(target, part)
+    if not hasattr(target, "__wrapped__"):
+        unwrapped.append(f"{module_name}.{attr}")
+assert not unwrapped, unwrapped
+assert cli.run(["spectrum", "--max-level", "2", "--out", sys.argv[1], "--no-timestamp"]) == 0
+assert tracer.calls == {"cli.run": 1, "core.StringParams.validate": 1, "core.validate": 1,
+                        "observables.level_spectrum": 1}, tracer.calls
+"""
+
+
+def test_install_wraps_every_target(tmp_path):
+    # install patches the package for the whole process, so it runs in its own
+    # interpreter, as in a traced benchmark pass
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(BENCH_DIR), str(src)])}
+    done = subprocess.run([sys.executable, "-c", _INSTALL_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _small_call(name, tmp_path):

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import shlex
 import signal
+import sys
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -15,6 +16,7 @@ from stochastic_string.cli import (
 )
 from stochastic_string.core import StringParams
 from stochastic_string.drift import StationaryModeState
+from stochastic_string.observables import MAX_LEVEL
 
 _COMMON = {
     "-h", "--help", "--config", "--alpha-prime", "--dims", "--mode-cutoff", "--p-plus",
@@ -103,6 +105,9 @@ def test_every_run_config_field_is_settable():
     (["fpe-check", "--d-tau", "nan"], "d_tau"),
     (["fpe-check", "--d-tau", "inf"], "d_tau"),
     (["correlate", "--d-tau", "inf"], "d_tau"),
+    # finite and positive, but 1 / d_tau, or the lag in recorded columns, overflows
+    (["correlate", "--d-tau", "1e-320"], "d_tau"),
+    (["correlate", "--d-tau", "1e-10", "--dtau-lag", "1e300"], "dtau_lag"),
 ])
 def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "-M", "5", "--out", str(tmp_path), "--no-timestamp"])
@@ -131,9 +136,13 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     (["madelung-check", "--points", "2"], "points = 2"),
     (["bracket-check", "--points", "-1"], "points = -1"),
     (["simulate", "--k", "-1", "-M", "5", "--steps", "5"], "k = -1"),
-    # a list of 10^18 levels is refused as out of memory before anything is allocated
+    # levels above MAX_LEVEL are refused before any work, also above sys.maxsize
     (["spectrum", "--max-level", "1000000000000000000"],
      "max_level = 1000000000000000000; lower --max-level"),
+    (["spectrum", "--max-level", str(10 * sys.maxsize)],
+     f"max_level = {10 * sys.maxsize}; lower --max-level"),
+    (["spectrum", "--max-level", str(MAX_LEVEL + 1)],
+     f"max_level = {MAX_LEVEL + 1}; lower --max-level"),
     # k! of the density's normalization overflows a float from k = 171
     (["simulate", "--n", "1", "--k", "171", "-M", "2", "--steps", "2"], "k = 171"),
     (["madelung-check", "--n", "1", "--k", "171", "--points", "101"], "k = 171"),
@@ -150,6 +159,7 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     "transport-n0", "simulate-init-nan", "simulate-init-inf", "simulate-init-abc",
     "fpe-points-2", "bracket-points-2", "madelung-points-2", "bracket-points-negative",
     "simulate-k-negative", "spectrum-max-level-out-of-memory",
+    "spectrum-max-level-above-maxsize", "spectrum-max-level-above-bound",
     "simulate-k-171", "madelung-k-171", "bracket-span-overflow", "madelung-span-overflow",
     "fpe-span-overflow",
 ])

@@ -9,7 +9,6 @@ from stochastic_string import fpe
 from stochastic_string.fpe import (
     GridField,
     continuity_residual,
-    eigen_residual,
     evolve_fokker_planck,
     gaussian_field,
     l1_distance_to_samples,
@@ -133,26 +132,12 @@ def test_madelung_zero_mode_rejected(params):
         madelung_residual(field, params, StationaryModeState(params, 0, momentum=1.0))
 
 
-@pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 0), (2, 2)])
-def test_polar_reconstruction_eigen_relation(params, n, k):
-    state = StationaryModeState(params, n, k)
-    field = stationary_field(state, -6, 6, 2001)
-    assert eigen_residual(field, params, state) < 1e-3
-
-
 def test_node_windows_covering_the_grid_name_points(params):
     # k = 12 at 101 points: every interior point lies within 5h of a node
     state = StationaryModeState(params, 1, 12)
     field = stationary_field(state, -6, 6, 101)
-    for residual in (madelung_residual, eigen_residual):
-        with pytest.raises(ValidationError, match="points = 101"):
-            residual(field, params, state)
-
-
-def test_eigen_residual_detects_wrong_energy(params):
-    state = StationaryModeState(params, 1, 0)
-    field = stationary_field(state, -6, 6, 2001)
-    assert eigen_residual(field, params, state, energy=1.0) > 0.5
+    with pytest.raises(ValidationError, match="points = 101"):
+        madelung_residual(field, params, state)
 
 
 def test_l1_distance_statistics(params):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -13,13 +12,9 @@ from stochastic_string.observables import (
     LagProducts,
     MissingModeError,
     ZeroModeError,
-    analytic_summed_correlator,
-    cosine_coefficients,
-    cosine_sample_grid,
     fit_log_slope,
     level_spectrum,
     zeta_intercept,
-    reconstruct_string,
     summed_correlator,
 )
 
@@ -82,10 +77,16 @@ def test_lag_products_reject_record_stride_below_one(stride):
         LagProducts(StationaryModeState(GROUND_PARAMS, 1), 1e-3, stride, [0, 1])
 
 
-@pytest.mark.parametrize("spacing", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("spacing", [0.0, -1e-3, math.nan, math.inf, -math.inf, 1e-320])
 def test_recorded_lag_rejects_bad_spacing(spacing):
+    # 1e-320 is finite and positive, but its reciprocal overflows
     with pytest.raises(ValidationError, match=r"d_tau \* record_stride"):
         observables.recorded_lag(1.0, spacing)
+
+
+def test_recorded_lag_rejects_lag_of_overflowing_column_count():
+    with pytest.raises(ValidationError, match="dtau_lag = 1e"):
+        observables.recorded_lag(1e300, 1e-10)
 
 
 def test_correlators_need_two_trajectories(params):
@@ -99,14 +100,20 @@ def test_correlators_need_two_trajectories(params):
 
 
 def test_summed_correlator_matches_partial_sum():
-    # oracle: scalar arithmetic, independent of simulation
+    # oracle: scalar arithmetic, independent of simulation; the per-(mode,
+    # direction) analytic values criterion 3 sums add up to the partial sum
     params = StringParams(alpha_prime=0.5, dims=26, mode_cutoff=6)
+
+    def summed(delta_tau, n_max):
+        return sum(observables.analytic_correlator(params, n, delta_tau)
+                   for n in range(1, n_max + 1) for _ in range(params.transverse_count))
+
     expected = 24.0 * sum(math.exp(-n) / n for n in range(1, 7))
-    assert analytic_summed_correlator(params, 1.0, 6) == pytest.approx(expected, rel=1e-12)
+    assert summed(1.0, 6) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(11.0, abs=0.02)
     # long-lag limit and the single-mode equal-time value (D - 2) * 2 alpha'
-    assert analytic_summed_correlator(params, 60.0, 6) == pytest.approx(0.0, abs=1e-20)
-    assert analytic_summed_correlator(params, 0.0, 1) == pytest.approx(24.0)
+    assert summed(60.0, 6) == pytest.approx(0.0, abs=1e-20)
+    assert summed(0.0, 1) == pytest.approx(24.0)
 
 
 def test_summed_correlator_sums_parts_exactly(monkeypatch):
@@ -159,40 +166,6 @@ def test_summed_correlator_rejects_mixed_lags():
     estimates[2, 2] = CorrelatorEstimate(2, 0.6, 1.0, 0.1)
     with pytest.raises(ValidationError, match="delta_tau"):
         summed_correlator(params, estimates)
-
-
-def test_reconstruct_string_trivial_cases():
-    sigma = np.linspace(0, math.pi, 101)
-    assert np.all(reconstruct_string([0.0, 0.0, 0.0], sigma) == 0.0)
-    profile = reconstruct_string([0.0, 1.0], sigma)
-    np.testing.assert_allclose(profile, np.cos(sigma))
-    assert profile[0] == pytest.approx(1.0)
-    assert profile[-1] == pytest.approx(-1.0)
-
-
-def test_reconstruct_string_neumann_ends():
-    amps = [0.3, -1.2, 0.8, 0.05]
-    h = 1e-6
-    for end in (0.0, math.pi):
-        inner = reconstruct_string(amps, np.array([abs(end - h)]))[0]
-        at_end = reconstruct_string(amps, np.array([end]))[0]
-        assert (at_end - inner) / h == pytest.approx(0.0, abs=1e-4)
-
-
-def test_cosine_round_trip():
-    # oracle: discrete cosine transform pair on the half-integer grid
-    rng = np.random.default_rng(5)
-    n_modes = 7
-    amps = rng.normal(size=n_modes + 1)
-    grid = cosine_sample_grid(2 * (n_modes + 1))
-    profile = reconstruct_string(amps, grid)
-    recovered = cosine_coefficients(profile, n_modes)
-    np.testing.assert_allclose(recovered, amps, atol=1e-10)
-
-
-def test_reconstruct_validates_sigma_range():
-    with pytest.raises(ValidationError):
-        reconstruct_string([1.0], np.array([-0.5]))
 
 
 def brute_force_degeneracy(transverse, level):
