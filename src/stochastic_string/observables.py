@@ -185,9 +185,12 @@ def summed_correlator(
 
 
 # largest max_level of level_spectrum, checked before any work: the pass is
-# quadratic in max_level over ever longer integers, about 1 s at 1000 and
-# 5 s at 2000 for D = 26, and slower as D grows
+# quadratic in max_level, about 1 s at 1000 and 5 s at 2000 for D = 26
 MAX_LEVEL = 1000
+# the pass also slows as its integers lengthen, and at large D the
+# degeneracies approach max_level * log10(D - 2) digits, so that product is
+# checked before any work too, against its value at D = 26 and MAX_LEVEL
+_MAX_DIGITS = MAX_LEVEL * math.log10(24)
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,12 @@ def level_spectrum(params: StringParams, max_level: int) -> list[SpectrumLevel]:
         raise ValidationError(
             f"max_level must be <= {MAX_LEVEL}, as the time grows as about max_level^2.2; "
             f"got max_level = {max_level}; lower --max-level"
+        )
+    if max_level * math.log10(params.transverse_count) > _MAX_DIGITS:
+        raise ValidationError(
+            f"max_level * log10(dims - 2) must be <= {MAX_LEVEL} * log10(24), as longer "
+            f"degeneracies slow every product; got dims = {params.dims}, "
+            f"max_level = {max_level}; lower --dims or --max-level"
         )
     # coefficients of prod_n (1 - q^n)^-(D-2), one pass per mode n with the
     # binomial series (1 - q^n)^-T = sum_j C(T + j - 1, j) q^(jn), T = D - 2

@@ -478,6 +478,28 @@ def test_spectrum_time_independent_of_dims(tmp_path):
     assert "\n1 1.0 999999999998\n" in (tmp_path / "spectrum.txt").read_text()
 
 
+@pytest.mark.parametrize("dims, max_level", [
+    ("1000000000000", "1000"), ("1000000000000", "116"), ("1" + "0" * 100, "100"),
+])
+def test_spectrum_work_bound_exit_code(tmp_path, capsys, dims, max_level):
+    # max_level * log10(D - 2) is held to its value at D = 26 and MAX_LEVEL
+    # before any work: D = 10^12 at level 1000 took 49 s, and the degeneracies
+    # of D = 10^100 at level 100 had too many digits to print
+    with _deadline(2):
+        code = run(["spectrum", "--dims", dims, "--max-level", max_level,
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"dims = {dims}, max_level = {max_level}; lower --dims or --max-level" in err
+
+
+def test_spectrum_work_bound_admits_its_edge(tmp_path):
+    # 115 * log10(10^12 - 2) is just under 1000 * log10(24)
+    code = run(["spectrum", "--dims", "1000000000000", "--max-level", "115",
+                "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_OK
+
+
 def test_bracket_check(tmp_path, capsys):
     code = run(["bracket-check", "--points", "1001", "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_OK

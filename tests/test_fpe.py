@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +221,92 @@ def test_relaxation_rates_are_level_spacings(params, n, j):
     taus = np.linspace(0.0, 0.5, 6)
     rate = -np.polyfit(taus, np.log(amplitudes), 1)[0]
     assert rate == pytest.approx(n * j, rel=1e-3)
+
+
+def _face_rates(field, drift, nu):
+    """The scheme's face rates, restated: 3-point Gauss-Legendre cell integral
+    of the drift, then the Bernoulli weights B(-D) and B(D)."""
+    h = field.h
+    mid = 0.5 * (field.x[1:] + field.x[:-1])
+    offset = 0.5 * h * np.sqrt(0.6)
+    delta = (h / nu) * (5 * drift(mid - offset) + 8 * drift(mid) + 5 * drift(mid + offset)) / 18
+    with np.errstate(over="ignore", invalid="ignore"):
+        bernoulli = lambda z: np.where(z == 0.0, 1.0, z / np.expm1(z))
+        return bernoulli(-delta), bernoulli(delta)
+
+
+def _sequential_reference(field, drift, nu, substeps):
+    """A horizon the scheme covers in exactly ``substeps`` sub-steps, and the
+    density after them, stepped one sub-step at a time."""
+    forward, backward = _face_rates(field, drift, nu)
+    out_rate = np.zeros(field.points)
+    out_rate[:-1] += forward
+    out_rate[1:] += backward
+    tau = (substeps - 0.5) * 0.8 * field.h**2 / (nu * out_rate.max())
+    scale = (tau / substeps) * nu / field.h**2
+    rho = field.rho.copy()
+    for _ in range(substeps):
+        flux = scale * forward * rho[:-1] - scale * backward * rho[1:]
+        rho[:-1] -= flux
+        rho[1:] += flux
+    return tau, rho
+
+
+def _count_band_builds(monkeypatch):
+    built = []
+    band_power = fpe._band_power
+
+    def counted(*args):
+        built.append(args)
+        return band_power(*args)
+
+    monkeypatch.setattr(fpe, "_band_power", counted)
+    return built
+
+
+@pytest.mark.parametrize("extra", [0, 7])
+@pytest.mark.parametrize("points", [41, 101, 401])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_band_matches_sequential_substeps(params, monkeypatch, k, points, extra):
+    # 20 * _BAND sub-steps, plus a remainder or not, are past the count at
+    # which composing the band pays on these grids, so the band runs
+    state = StationaryModeState(params, 1, k)
+    drift = lambda x: state.forward_drift_array(x)[0]
+    field = gaussian_field(-6, 6, points, 0.5, 1.0)
+    tau, expected = _sequential_reference(field, drift, state.nu, 20 * fpe._BAND + extra)
+    built = _count_band_builds(monkeypatch)
+    out = evolve_fokker_planck(field, drift, state.nu, d_tau=tau, steps=1)
+    assert len(built) == 1
+    assert np.abs(out.rho - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert abs(out.mass() - field.mass()) <= 1e-12
+    assert out.rho.min() >= -1e-12
+
+
+def test_short_run_steps_one_at_a_time(params, monkeypatch):
+    state = StationaryModeState(params, 1, 1)
+    drift = lambda x: state.forward_drift_array(x)[0]
+    field = gaussian_field(-6, 6, 401, 0.5, 1.0)
+    tau, expected = _sequential_reference(field, drift, state.nu, fpe._BAND + 3)
+    built = _count_band_builds(monkeypatch)
+    out = evolve_fokker_planck(field, drift, state.nu, d_tau=tau, steps=1)
+    assert built == []
+    assert np.abs(out.rho - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_band_memory_independent_of_steps(monkeypatch):
+    field = gaussian_field(-6, 6, 401, 1.0, 0.7)
+    d_tau = 0.4 * field.h**2
+    built = _count_band_builds(monkeypatch)
+    peaks = []
+    for steps in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            evolve_fokker_planck(field, lambda x: -x, nu=1.0, d_tau=d_tau, steps=steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(built) == 2
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+    # the band holds about (2 * _BAND + 1) * points values, and building it a
+    # few arrays of that size at once
+    assert max(peaks) < 6 * (2 * fpe._BAND + 1) * field.points * 8

@@ -10,6 +10,7 @@ from stochastic_string.observables import (
     CorrelatorEstimate,
     ExcitedStateError,
     LagProducts,
+    MAX_LEVEL,
     MissingModeError,
     ZeroModeError,
     fit_log_slope,
@@ -216,6 +217,11 @@ def test_level_spectrum_matches_generating_function():
     params = StringParams(alpha_prime=0.5, dims=dims, mode_cutoff=6)
     for lv in level_spectrum(params, L):
         assert lv.degeneracy == coeffs[lv.level]
+
+
+def test_level_spectrum_admits_d26_at_max_level():
+    levels = level_spectrum(StringParams(alpha_prime=0.5, dims=26), MAX_LEVEL)
+    assert [lv.level for lv in levels] == list(range(MAX_LEVEL + 1))
 
 
 def test_level_spectrum_zeta_intercept():
