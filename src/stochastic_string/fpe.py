@@ -9,9 +9,9 @@ they check the eigenvalue relation.
 The Fokker-Planck equation is stepped explicitly with exponentially
 fitted Scharfetter-Gummel fluxes (Scharfetter & Gummel, IEEE TED 16,
 1969; Chang & Cooper, J. Comput. Phys. 6, 1970) and reflecting (no-flux)
-boundaries. A long run composes the tridiagonal sub-step matrix M into
-its banded power M^_BAND once per call and applies that, so each product
-advances _BAND sub-steps. The residuals use second-order central
+boundaries. The tridiagonal sub-step matrix M is composed into its banded
+power M^_BAND once per call, so each product with that band advances
+_BAND sub-steps. The residuals use second-order central
 differences.
 """
 
@@ -29,7 +29,7 @@ from .core import StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 # sub-steps one evolve_fokker_planck call may take: 45 times the most any
-# check needs, and 0.25 to 0.5 s at 401 to 801 points on a 2-vCPU VM
+# check needs, and 0.6 to 1.0 s at 401 to 801 points on a 2-vCPU VM
 _MAX_SUBSTEPS = 10**6
 # sub-steps composed into one banded matrix power B = M^_BAND
 _BAND = 24
@@ -141,9 +141,9 @@ def _substep(rho: np.ndarray, forward: np.ndarray, backward: np.ndarray) -> None
 
 
 def _band_power(forward: np.ndarray, backward: np.ndarray, points: int) -> np.ndarray:
-    """B = M^_BAND for the sub-step matrix M, as block-tridiagonal rows:
-    blocks[b, r, c] = B[b * _BAND + r, (b - 1) * _BAND + c], with the rows
-    padded by zeros to a whole number of blocks.
+    """The band of B = M^_BAND for the sub-step matrix M, as a
+    (points, 2 * _BAND + 1) array: band[i, d] = B[i, i + d - _BAND], zero
+    where that column lies off the grid.
 
     B is banded: its column j, the image of e_j after _BAND sub-steps, lies
     on rows j - _BAND..j + _BAND. So the 2 * _BAND + 1 combs, each the sum of
@@ -152,17 +152,12 @@ def _band_power(forward: np.ndarray, backward: np.ndarray, points: int) -> np.nd
     image holds B[i, j] for the one j = c mod (2 * _BAND + 1) within the band.
     """
     width = 2 * _BAND + 1
-    combs = np.zeros((-(-points // _BAND) * _BAND, width))
-    combs[:points] = np.arange(points)[:, None] % width == np.arange(width)
+    combs = (np.arange(points)[:, None] % width == np.arange(width)).astype(float)
     for _ in range(_BAND):
-        _substep(combs[:points], forward[:, None], backward[:, None])
-    offsets = np.arange(3 * _BAND) - _BAND  # column j minus the block's first row
-    firsts = np.arange(0, len(combs), _BAND)[:, None, None]
-    blocks = np.take_along_axis(
-        combs.reshape(-1, _BAND, width), (firsts + offsets) % width, axis=2
-    )
-    blocks[:, np.abs(offsets - np.arange(_BAND)[:, None]) > _BAND] = 0.0
-    return blocks
+        _substep(combs, forward[:, None], backward[:, None])
+    columns = np.arange(points)[:, None] + np.arange(-_BAND, _BAND + 1)
+    columns %= width
+    return np.take_along_axis(combs, columns, axis=1)
 
 
 def evolve_fokker_planck(
@@ -184,13 +179,14 @@ def evolve_fokker_planck(
     A horizon that needs more than ``_MAX_SUBSTEPS`` sub-steps is rejected
     before the first one.
 
-    When there are enough sub-steps to pay for it, runs of ``_BAND`` of them
-    are composed into the band of B = M^_BAND (see ``_band_power``), built
-    once from the sub-steps themselves and applied as one block-tridiagonal
-    product per run; the remainder, and a short horizon, step one sub-step
-    at a time. B is a product of the same non-negative, mass-conserving
-    sub-steps, so the result agrees with stepping one at a time up to
-    roundoff, and memory stays O(_BAND * points) for any ``steps``.
+    Each run of ``_BAND`` sub-steps is one product with the band of
+    B = M^_BAND (see ``_band_power``), built once per call from the
+    sub-steps themselves; the remainder steps one sub-step at a time. B is a
+    product of the same non-negative, mass-conserving sub-steps, so the
+    result agrees with stepping one at a time up to roundoff. Memory does
+    not grow with ``steps``: building the band holds three
+    (points, 2 * _BAND + 1) arrays, about 1.3 kB per grid point, where
+    stepping one sub-step at a time holds about 0.1 kB per point.
     """
     if not 0 <= d_tau < math.inf or steps < 0:
         raise ValidationError(f"need a finite d_tau >= 0 and steps >= 0, got {d_tau} and {steps}")
@@ -219,20 +215,17 @@ def evolve_fokker_planck(
     scale = (tau / max(substeps, 1)) * nu / h**2
     forward, backward = scale * forward, scale * backward
 
-    rho = field.rho.copy()
+    padded = np.zeros(field.points + 2 * _BAND)
+    rho = padded[_BAND:-_BAND]
+    rho[:] = field.rho
     mass0 = rho.sum() * h
-    # building the band costs about as much as 2 * _BAND + points / 2 sub-steps
-    composed = substeps >= 2 * _BAND + field.points // 2
-    runs, rest = divmod(substeps, _BAND) if composed else (0, substeps)
+    runs, rest = divmod(substeps, _BAND)
     if runs:
-        blocks = _band_power(forward, backward, field.points)
-        padded = np.zeros((len(blocks) + 2) * _BAND)
-        padded[_BAND : _BAND + field.points] = rho
-        # windows[b] = padded[b * _BAND : (b + 3) * _BAND], the cells block row b reads
-        windows = sliding_window_view(padded, 3 * _BAND)[::_BAND, :, None]
+        band = _band_power(forward, backward, field.points)
+        # windows[i, d] = padded[i + d] = rho[i + d - _BAND], the cells row i reads
+        windows = sliding_window_view(padded, 2 * _BAND + 1)
         for _ in range(runs):
-            padded[_BAND:-_BAND] = np.matmul(blocks, windows).reshape(-1)
-        rho = padded[_BAND : _BAND + field.points]
+            rho[:] = np.einsum("id,id->i", band, windows)
     for _ in range(rest):
         _substep(rho, forward, backward)
     lowest = min(field.rho.min(), rho.min())

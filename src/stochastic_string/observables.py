@@ -187,9 +187,12 @@ def summed_correlator(
 # largest max_level of level_spectrum, checked before any work: the pass is
 # quadratic in max_level, about 1 s at 1000 and 5 s at 2000 for D = 26
 MAX_LEVEL = 1000
-# the pass also slows as its integers lengthen, and at large D the
-# degeneracies approach max_level * log10(D - 2) digits, so that product is
-# checked before any work too, against its value at D = 26 and MAX_LEVEL
+# the pass also slows as its integers lengthen with D. max_level * log10(D - 2)
+# stands in for that length (it is not the degeneracies' digit count: 153
+# digits at D = 26 and level 1000, 1192 at D = 10^12 and level 115) and is
+# checked before any work against its value at D = 26 and MAX_LEVEL. Passes on
+# that edge take 1.1 s at D = 26, 0.5 s at 10^2, 0.3 s at 10^3, 0.15 s at 10^6
+# and 0.04 s at 10^12 on a 2-vCPU VM
 _MAX_DIGITS = MAX_LEVEL * math.log10(24)
 
 

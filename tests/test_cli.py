@@ -493,10 +493,15 @@ def test_spectrum_work_bound_exit_code(tmp_path, capsys, dims, max_level):
     assert f"dims = {dims}, max_level = {max_level}; lower --dims or --max-level" in err
 
 
-def test_spectrum_work_bound_admits_its_edge(tmp_path):
-    # 115 * log10(10^12 - 2) is just under 1000 * log10(24)
-    code = run(["spectrum", "--dims", "1000000000000", "--max-level", "115",
-                "--out", str(tmp_path), "--no-timestamp"])
+@pytest.mark.parametrize("dims, max_level", [
+    ("100", "693"), ("1000", "460"), ("1000000", "230"), ("1000000000000", "115"),
+])
+def test_spectrum_work_bound_admits_its_edge(tmp_path, dims, max_level):
+    # the largest max_level with max_level * log10(D - 2) under 1000 * log10(24);
+    # each pass takes well under the 1 s of D = 26 at level 1000
+    with _deadline(5):
+        code = run(["spectrum", "--dims", dims, "--max-level", max_level,
+                    "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_OK
 
 

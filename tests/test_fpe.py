@@ -268,8 +268,8 @@ def _count_band_builds(monkeypatch):
 @pytest.mark.parametrize("points", [41, 101, 401])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_band_matches_sequential_substeps(params, monkeypatch, k, points, extra):
-    # 20 * _BAND sub-steps, plus a remainder or not, are past the count at
-    # which composing the band pays on these grids, so the band runs
+    # 20 * _BAND sub-steps, plus a remainder or not: the band runs once per
+    # _BAND of them, and the remainder one sub-step at a time
     state = StationaryModeState(params, 1, k)
     drift = lambda x: state.forward_drift_array(x)[0]
     field = gaussian_field(-6, 6, points, 0.5, 1.0)
@@ -283,10 +283,11 @@ def test_band_matches_sequential_substeps(params, monkeypatch, k, points, extra)
 
 
 def test_short_run_steps_one_at_a_time(params, monkeypatch):
+    # fewer than _BAND sub-steps build no band
     state = StationaryModeState(params, 1, 1)
     drift = lambda x: state.forward_drift_array(x)[0]
     field = gaussian_field(-6, 6, 401, 0.5, 1.0)
-    tau, expected = _sequential_reference(field, drift, state.nu, fpe._BAND + 3)
+    tau, expected = _sequential_reference(field, drift, state.nu, fpe._BAND - 1)
     built = _count_band_builds(monkeypatch)
     out = evolve_fokker_planck(field, drift, state.nu, d_tau=tau, steps=1)
     assert built == []
@@ -307,6 +308,6 @@ def test_band_memory_independent_of_steps(monkeypatch):
             tracemalloc.stop()
     assert len(built) == 2
     assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
-    # the band holds about (2 * _BAND + 1) * points values, and building it a
-    # few arrays of that size at once
-    assert max(peaks) < 6 * (2 * fpe._BAND + 1) * field.points * 8
+    # the band holds (2 * _BAND + 1) * points values, and building it three
+    # arrays of that size at once
+    assert max(peaks) < 4 * (2 * fpe._BAND + 1) * field.points * 8
