@@ -11,8 +11,7 @@ fitted Scharfetter-Gummel fluxes (Scharfetter & Gummel, IEEE TED 16,
 1969; Chang & Cooper, J. Comput. Phys. 6, 1970) and reflecting (no-flux)
 boundaries. The tridiagonal sub-step matrix M is composed into its banded
 power M^_BAND once per call, so each product with that band advances
-_BAND sub-steps. The residuals use second-order central
-differences.
+_BAND sub-steps. The residuals use second-order central differences.
 """
 
 from __future__ import annotations

@@ -264,34 +264,22 @@ def _count_band_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("extra", [0, 7])
+@pytest.mark.parametrize("runs, rest", [(0, 7), (20, 0), (20, 7)])
 @pytest.mark.parametrize("points", [41, 101, 401])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_band_matches_sequential_substeps(params, monkeypatch, k, points, extra):
-    # 20 * _BAND sub-steps, plus a remainder or not: the band runs once per
-    # _BAND of them, and the remainder one sub-step at a time
+def test_band_matches_sequential_substeps(params, monkeypatch, k, points, runs, rest):
+    # runs * _BAND + rest sub-steps: the band is built once when there is a
+    # run of _BAND to apply it to, and the rest step one sub-step at a time
     state = StationaryModeState(params, 1, k)
     drift = lambda x: state.forward_drift_array(x)[0]
     field = gaussian_field(-6, 6, points, 0.5, 1.0)
-    tau, expected = _sequential_reference(field, drift, state.nu, 20 * fpe._BAND + extra)
+    tau, expected = _sequential_reference(field, drift, state.nu, runs * fpe._BAND + rest)
     built = _count_band_builds(monkeypatch)
     out = evolve_fokker_planck(field, drift, state.nu, d_tau=tau, steps=1)
-    assert len(built) == 1
+    assert len(built) == (runs > 0)
     assert np.abs(out.rho - expected).max() <= 1e-12 * np.abs(expected).max()
     assert abs(out.mass() - field.mass()) <= 1e-12
     assert out.rho.min() >= -1e-12
-
-
-def test_short_run_steps_one_at_a_time(params, monkeypatch):
-    # fewer than _BAND sub-steps build no band
-    state = StationaryModeState(params, 1, 1)
-    drift = lambda x: state.forward_drift_array(x)[0]
-    field = gaussian_field(-6, 6, 401, 0.5, 1.0)
-    tau, expected = _sequential_reference(field, drift, state.nu, fpe._BAND - 1)
-    built = _count_band_builds(monkeypatch)
-    out = evolve_fokker_planck(field, drift, state.nu, d_tau=tau, steps=1)
-    assert built == []
-    assert np.abs(out.rho - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_band_memory_independent_of_steps(monkeypatch):
