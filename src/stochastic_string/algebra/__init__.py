@@ -3,8 +3,6 @@
 from .brackets import (
     BracketFunctional,
     bracket_from_commutator,
-    commutator_expectation,
-    expectation,
     mean_momentum,
     mean_position,
     stochastic_bracket,
@@ -41,9 +39,7 @@ __all__ = [
     "anomaly_value_direct",
     "bracket_from_commutator",
     "commutator",
-    "commutator_expectation",
     "creation",
-    "expectation",
     "format_anomaly_report",
     "identity",
     "mean_momentum",

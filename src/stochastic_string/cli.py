@@ -308,9 +308,7 @@ def _cmd_bracket_check(cfg: RunConfig, out: str) -> int:
     mode_state = StationaryModeState(params, 1, 0)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     bracket = algebra.stochastic_bracket(algebra.mean_position(), algebra.mean_momentum(), field)
-    operator_side = algebra.bracket_from_commutator(
-        algebra.position(1), algebra.momentum(1), field=field
-    )
+    operator_side = algebra.bracket_from_commutator(algebra.position(1), algebra.momentum(1))
     body = [
         f"stochastic_bracket = {bracket!r}",
         f"commutator_side = {operator_side.real!r}",

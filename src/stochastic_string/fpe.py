@@ -81,14 +81,32 @@ def _check_grid(x_min: float, x_max: float, points: int) -> None:
         raise ValidationError("x_max must exceed x_min")
     if points < 3:
         raise ValidationError(f"grid needs at least 3 points, got points = {points}")
+    h = (x_max - x_min) / (points - 1)
+    if not (h**2 > 0 and math.isfinite(1.0 / h**2)):
+        raise ValidationError(
+            f"grid spacing h = {h} is too fine for a finite 1/h^2: "
+            f"x_min = {x_min}, x_max = {x_max}, points = {points}"
+        )
+
+
+def _field_with_mass(x_min: float, x_max: float, rho: np.ndarray, S: np.ndarray) -> GridField:
+    """GridField of (rho, S), rejected when rho has no finite, positive mass on
+    the grid, as when the grid lies where the density underflows to 0."""
+    field = GridField(x_min, x_max, rho, S)
+    mass = field.mass()
+    if not 0 < mass < math.inf:
+        raise ValidationError(
+            f"the density has mass {mass} on the grid x_min = {x_min}, x_max = {x_max}; "
+            "move the grid to where the density lies"
+        )
+    return field
 
 
 def gaussian_field(x_min: float, x_max: float, points: int, mean: float, std: float) -> GridField:
     _check_grid(x_min, x_max, points)
     x = np.linspace(x_min, x_max, points)
     rho = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
-    field = GridField(x_min, x_max, rho, np.zeros_like(x))
-    return field.normalized()
+    return _field_with_mass(x_min, x_max, rho, np.zeros_like(x)).normalized()
 
 
 def stationary_field(
@@ -103,7 +121,7 @@ def stationary_field(
     else:
         rho = state.density(x)
         S = np.zeros_like(x)
-    return GridField(x_min, x_max, rho, S)
+    return _field_with_mass(x_min, x_max, rho, S)
 
 
 def _second_difference(y: np.ndarray, h: float) -> np.ndarray:
@@ -227,11 +245,12 @@ def evolve_fokker_planck(
             rho[:] = np.einsum("id,id->i", band, windows)
     for _ in range(rest):
         _substep(rho, forward, backward)
-    lowest = min(field.rho.min(), rho.min())
-    if lowest < -1.0e-12:
-        raise ValidationError(f"density fell below -1e-12 (min {lowest:.3e})")
+    # written to fail on NaN, for which every comparison is False
+    lowest = np.minimum(field.rho.min(), rho.min())
+    if not lowest >= -1.0e-12:
+        raise ValidationError(f"density fell below -1e-12 or is not finite (min {lowest:.3e})")
     mass_error = abs(rho.sum() * h - mass0)
-    if mass_error > 1.0e-6:
+    if not mass_error <= 1.0e-6:
         raise ValidationError(f"probability mass drifted by {mass_error:.3e}")
     return replace(field, rho=rho)
 
@@ -298,6 +317,11 @@ def madelung_residual(
     residual[~np.isfinite(residual)] = np.inf
 
     keep = (field.rho[1:-1] > 1.0e-200) & _off_node_windows(field, state)
+    if not keep.any():
+        raise ValidationError(
+            f"no interior grid point off the node windows has a density above 1e-200 on "
+            f"x_min = {field.x_min}, x_max = {field.x_max}; move the grid to where the density lies"
+        )
     finite_excluded = residual[~keep]
     finite_excluded = finite_excluded[np.isfinite(finite_excluded)]
     return MadelungResult(

@@ -234,7 +234,7 @@ def test_criterion_08_bracket_correspondence():
         )
         assert bracket == pytest.approx(1.0, abs=1e-4)
         operator_side = algebra.bracket_from_commutator(
-            algebra.position(1), algebra.momentum(1), field=field
+            algebra.position(1), algebra.momentum(1)
         )
         # [x, p] = i times the identity, so the operator side is exactly 1
         assert operator_side == 1.0 + 0.0j

@@ -1,9 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from stochastic_string.core import ModeStateSpec, StringParams
-from stochastic_string.fpe import gaussian_field
+from stochastic_string.core import StringParams
 from fock import (
     AuxOscillator,
     apply_expr,
@@ -15,7 +15,6 @@ from fock import (
     substitute_alpha_terms,
 )
 from stochastic_string import algebra
-from stochastic_string.algebra.brackets import expectation
 from stochastic_string.algebra.lorentz import (
     AlgebraConsistencyError,
     TruncationError,
@@ -32,7 +31,10 @@ from stochastic_string.algebra.operators import (
     OperatorExpr,
     annihilation,
     commutator,
+    creation,
     identity,
+    momentum,
+    position,
 )
 from stochastic_string.algebra.scalars import Coeff, PolyDA, solve_affine_system
 
@@ -99,15 +101,21 @@ def test_m_minus_hermitian():
 
 
 def test_m_minus_component_at_critical_intercept():
-    # one transverse direction, so every word has a zero-mode expectation; at
-    # alpha' = 1/2, p+ = 1, M^{1-} = {x, p^2/2 + N - a}/2 plus oscillator terms
-    # that vanish in number states, so a unit-width Gaussian at mean 0.7 gives
-    # 0.7 (1/8 + N - 1) at the critical intercept a = 1
+    # one transverse direction at alpha' = 1/2, p+ = 1: the words of M^{1-}
+    # diagonal in the occupation numbers (as many creators as annihilators of
+    # each oscillator) are exactly {x, p^2/2 + N - a}/2 at the critical
+    # intercept a = 1, with N = ad_1 a_1 + 2 ad_2 a_2; the other words change
+    # an occupation, so they vanish in number states
     m_minus = m_minus_expr(1, 1, 2, AP, PP, 1)
-    field = gaussian_field(-8, 8, 801, 0.7, 1.0)
-    for occupations, level in (({}, 0), ({(1, 1): 1}, 1)):
-        value = expectation(m_minus, ModeStateSpec(occupations=occupations), field)
-        assert value == pytest.approx(0.7 * (1 / 8 + level - 1), abs=1e-4)
+    diagonal = OperatorExpr({
+        word: coeff for word, coeff in m_minus.terms.items()
+        if Counter(t[1:] for t in word if t[0] == "c")
+        == Counter(t[1:] for t in word if t[0] == "a")
+    })
+    x, p = position(1), momentum(1)
+    number = creation(1, 1) * annihilation(1, 1) + (creation(2, 1) * annihilation(2, 1)).scale(2)
+    inner = (p * p).scale(Fraction(1, 2)) + number - identity()
+    assert diagonal == (x * inner + inner * x).scale(Fraction(1, 2))
 
 
 def test_anomaly_polynomials(params):

@@ -153,6 +153,20 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
      "x_min = -1e+308, x_max = 1e+308"),
     (["fpe-check", "--x-min", "-1e308", "--x-max", "1e308", "--points", "11", "-M", "5",
       "--steps", "5"], "x_min = -1e+308, x_max = 1e+308"),
+    # the density underflows to 0 all over the grid: no mass to normalize or compare
+    (["fpe-check", "-M", "10", "--steps", "2", "--x-min", "100", "--x-max", "101"],
+     "x_min = 100.0, x_max = 101.0"),
+    (["bracket-check", "--x-min", "100", "--x-max", "101"], "x_min = 100.0, x_max = 101.0"),
+    (["madelung-check", "--points", "11", "--x-min", "100", "--x-max", "101"],
+     "x_min = 100.0, x_max = 101.0"),
+    # a positive density, but below the residual's 1e-200 floor at every interior point
+    (["madelung-check", "--points", "11", "--x-min", "37", "--x-max", "38"],
+     "x_min = 37.0, x_max = 38.0"),
+    # h^2 underflows, so 1/h^2 is not finite
+    (["fpe-check", "-M", "10", "--steps", "2", "--x-min", "0", "--x-max", "1e-300"],
+     "x_min = 0.0, x_max = 1e-300, points = 401"),
+    (["madelung-check", "--x-min", "0", "--x-max", "1e-300"],
+     "x_min = 0.0, x_max = 1e-300, points = 401"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
@@ -161,7 +175,9 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     "simulate-k-negative", "spectrum-max-level-out-of-memory",
     "spectrum-max-level-above-maxsize", "spectrum-max-level-above-bound",
     "simulate-k-171", "madelung-k-171", "bracket-span-overflow", "madelung-span-overflow",
-    "fpe-span-overflow",
+    "fpe-span-overflow", "fpe-grid-without-mass", "bracket-grid-without-mass",
+    "madelung-grid-without-mass", "madelung-grid-below-density-floor",
+    "fpe-spacing-underflow", "madelung-spacing-underflow",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])

@@ -70,6 +70,15 @@ def test_negative_start_rejected():
         evolve_fokker_planck(GridField(-6, 6, rho, field.S), lambda x: -x, nu=1.0, d_tau=0.1, steps=10)
 
 
+def test_nan_start_rejected():
+    # the negativity and mass checks must fail on NaN, not let it through
+    field = gaussian_field(-6, 6, 101, 0.0, 1.0)
+    rho = field.rho.copy()
+    rho[50] = np.nan
+    with pytest.raises(ValidationError, match="not finite"):
+        evolve_fokker_planck(GridField(-6, 6, rho, field.S), lambda x: -x, nu=1.0, d_tau=1e-3, steps=10)
+
+
 def test_drift_must_be_finite():
     field = gaussian_field(-6, 6, 101, 0.0, 1.0)
     bad = lambda x: np.where(np.abs(x) < 0.1, np.inf, -x)
