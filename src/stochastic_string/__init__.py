@@ -8,7 +8,7 @@ dimension D = 26.
 """
 
 from .core import ModeStateSpec, StringParams, ValidationError, validate
-from .drift import StationaryModeState, UnsupportedStateError
+from .drift import StationaryModeState
 from .fpe import GridField
 from .sde import Ensemble
 
@@ -20,7 +20,6 @@ __all__ = [
     "ModeStateSpec",
     "StationaryModeState",
     "StringParams",
-    "UnsupportedStateError",
     "ValidationError",
     "validate",
     "__version__",

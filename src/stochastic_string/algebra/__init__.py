@@ -1,15 +1,8 @@
 """Exact symbolic engine for normal-ordered ladder-operator polynomials."""
 
-from .brackets import (
-    BracketFunctional,
-    bracket_from_commutator,
-    mean_momentum,
-    mean_position,
-    stochastic_bracket,
-)
+from .brackets import bracket_from_commutator, stochastic_bracket
 from .lorentz import (
     AlgebraConsistencyError,
-    TruncationError,
     anomaly_coefficient,
     anomaly_report,
     anomaly_value_direct,
@@ -28,11 +21,9 @@ from .scalars import Coeff, PolyDA, solve_affine_system
 
 __all__ = [
     "AlgebraConsistencyError",
-    "BracketFunctional",
     "Coeff",
     "OperatorExpr",
     "PolyDA",
-    "TruncationError",
     "annihilation",
     "anomaly_coefficient",
     "anomaly_report",
@@ -42,8 +33,6 @@ __all__ = [
     "creation",
     "format_anomaly_report",
     "identity",
-    "mean_momentum",
-    "mean_position",
     "momentum",
     "position",
     "solve_affine_system",

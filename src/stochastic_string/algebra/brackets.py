@@ -1,21 +1,20 @@
-"""Stochastic brackets on grid functionals and the commutator correspondence.
+"""The stochastic bracket {<x>, <p>}_s and the commutator correspondence.
 
-The density and phase form a canonical pair, so functionals of (rho, S)
-carry the bracket
-    {A, B}_s = integral (dA/drho dB/dS - dA/dS dB/drho) dx,
-evaluated here by grid quadrature. On the operator side the matching
-object is [A_q, B_q] / i, read exactly: for the canonical pair x, p the
-commutator normal-orders to i times the identity, so the operator side is
-exactly +1 in every state, and {<x>, <p>}_s is +1 up to quadrature error.
-(With the standard commutator [x_i, p_j] = i delta_ij the i sits in the
-denominator; this fixes the sign convention of the correspondence once
-and for all.)
+The density and phase form a canonical pair (Nelson, Phys. Rev. 150,
+1079 (1966)), so functionals of (rho, S) carry the bracket
+    {A, B}_s = integral (dA/drho dB/dS - dA/dS dB/drho) dx.
+For <x> = integral rho x dx and <p> = integral rho S' dx the derivatives are
+d<x>/drho = x, d<x>/dS = 0 and d<p>/dS = -rho' (by parts), so
+{<x>, <p>}_s = -integral x rho' dx, evaluated here by trapezoidal
+quadrature on the field's grid. On the operator side the matching object
+is [x, p] / i, read exactly: the commutator normal-orders to i times the
+identity, so the operator side is exactly +1 in every state, and
+{<x>, <p>}_s is +1 up to quadrature error. (With the standard commutator
+[x_i, p_j] = i delta_ij the i sits in the denominator; this fixes the sign
+convention of the correspondence once and for all.)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,36 +23,9 @@ from ..fpe import GridField
 from .operators import OperatorExpr, commutator
 
 
-@dataclass(frozen=True)
-class BracketFunctional:
-    """Functional of (rho, S) with evaluable functional derivatives."""
-
-    d_rho: Callable[[GridField], np.ndarray]
-    d_S: Callable[[GridField], np.ndarray]
-
-
-def mean_position() -> BracketFunctional:
-    """A[rho, S] = integral rho x dx."""
-    return BracketFunctional(
-        d_rho=lambda field: field.x,
-        d_S=lambda field: np.zeros(field.points),
-    )
-
-
-def mean_momentum() -> BracketFunctional:
-    """B[rho, S] = integral rho S' dx; dB/dS = -rho' by parts."""
-    return BracketFunctional(
-        d_rho=lambda field: np.gradient(field.S, field.h),
-        d_S=lambda field: -np.gradient(field.rho, field.h),
-    )
-
-
-def stochastic_bracket(
-    A: BracketFunctional, B: BracketFunctional, field: GridField
-) -> float:
-    """{A, B}_s evaluated by trapezoidal quadrature on the field's grid."""
-    integrand = A.d_rho(field) * B.d_S(field) - A.d_S(field) * B.d_rho(field)
-    return float(np.trapezoid(integrand, dx=field.h))
+def stochastic_bracket(field: GridField) -> float:
+    """{<x>, <p>}_s = -integral x rho' dx on the field's grid."""
+    return float(np.trapezoid(field.x * -np.gradient(field.rho, field.h), dx=field.h))
 
 
 def bracket_from_commutator(A: OperatorExpr, B: OperatorExpr) -> complex:

@@ -24,15 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..core import StringParams
+from ..core import StringParams, ValidationError
 from .operators import OperatorExpr, commutator
 from .scalars import Coeff, ONE, PolyDA, exact_fraction, solve_affine_system
 
 AlphaTerm = tuple[Coeff, tuple]
-
-
-class TruncationError(ValueError):
-    """Mode cutoff too small for the requested anomaly coefficient."""
 
 
 class AlgebraConsistencyError(RuntimeError):
@@ -48,7 +44,7 @@ def _exact_params(params: StringParams) -> tuple[Fraction, Fraction]:
     """Exact (alpha', p^+), with 2 alpha' short enough to factor quickly."""
     ap, pp = exact_fraction(params.alpha_prime), exact_fraction(params.p_plus)
     if (2 * ap).numerator * (2 * ap).denominator > _MAX_RADICAND:
-        raise ValueError(
+        raise ValidationError(
             f"alpha_prime = {params.alpha_prime} has too many digits for the exact "
             f"sqrt(2 alpha'): numerator times denominator of 2 alpha' must be <= 10**12"
         )
@@ -187,9 +183,9 @@ def anomaly_coefficient(m: int, params: StringParams) -> PolyDA:
     affineness of the transverse-trace dependence.
     """
     if m < 1:
-        raise TruncationError(f"anomaly mode must be >= 1, got {m}")
+        raise ValidationError(f"anomaly mode must be >= 1, got {m}")
     if params.mode_cutoff < 2 * m:
-        raise TruncationError(
+        raise ValidationError(
             f"mode_cutoff {params.mode_cutoff} too small: anomaly mode {m} needs >= {2 * m}"
         )
     ap, pp = _exact_params(params)
@@ -197,7 +193,7 @@ def anomaly_coefficient(m: int, params: StringParams) -> PolyDA:
 
     parts = {t: _anomalous_affine_parts(m, t, n_max, ap, pp) for t in (2, 3, 4)}
     if _anomalous_affine_parts(m, 2, n_max + 1, ap, pp) != parts[2]:
-        raise TruncationError(
+        raise AlgebraConsistencyError(
             f"Delta_{m} changed when raising the internal cutoff {n_max} -> {n_max + 1}"
         )
 
@@ -224,7 +220,7 @@ def anomaly_value_direct(m: int, params: StringParams, intercept) -> Fraction:
     numerically before commuting.
     """
     if params.mode_cutoff < 2 * m:
-        raise TruncationError(
+        raise ValidationError(
             f"mode_cutoff {params.mode_cutoff} too small for anomaly mode {m}"
         )
     ap, pp = _exact_params(params)

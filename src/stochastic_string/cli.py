@@ -167,24 +167,19 @@ def _write(cfg: RunConfig, out_dir: str, name: str, body_lines: list[str]) -> Pa
     return write_artifact(Path(out_dir) / name, cfg.header_lines(), [s + "\n" for s in body_lines])
 
 
-def _mode_state_spec(cfg: RunConfig, params: StringParams) -> ModeStateSpec:
+def _mode_state_spec(cfg: RunConfig) -> ModeStateSpec:
     occupations = {(cfg.n, cfg.direction): cfg.k} if cfg.k else {}
-    momentum = ()
-    if cfg.momentum:
-        if cfg.n != 0:
-            raise ValidationError(
-                f"momentum = {cfg.momentum} needs the zero mode n = 0, got n = {cfg.n}"
-            )
-        momentum = tuple(
-            cfg.momentum if i == cfg.direction else 0.0
-            for i in range(1, params.transverse_count + 1)
+    if cfg.momentum and cfg.n != 0:
+        raise ValidationError(
+            f"momentum = {cfg.momentum} needs the zero mode n = 0, got n = {cfg.n}"
         )
+    momentum = {cfg.direction: cfg.momentum} if cfg.momentum else {}
     return ModeStateSpec(occupations=occupations, zero_mode_momentum=momentum)
 
 
 def _cmd_simulate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    state = _mode_state_spec(cfg, params)
+    state = _mode_state_spec(cfg)
     try:
         init = cfg.init if cfg.init == "stationary" else float(cfg.init)
     except ValueError:
@@ -256,7 +251,7 @@ def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     if not math.isfinite(cfg.energy_offset):
         raise ValidationError(f"energy_offset must be finite, got {cfg.energy_offset}")
-    mode_state = sde._resolve_state(params, _mode_state_spec(cfg, params), cfg.n, cfg.direction)
+    mode_state = sde._resolve_state(params, _mode_state_spec(cfg), cfg.n, cfg.direction)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     energy = mode_state.energy() + cfg.energy_offset
     result = fpe.madelung_residual(field, params, mode_state, energy=energy)
@@ -307,7 +302,7 @@ def _cmd_bracket_check(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     mode_state = StationaryModeState(params, 1, 0)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
-    bracket = algebra.stochastic_bracket(algebra.mean_position(), algebra.mean_momentum(), field)
+    bracket = algebra.stochastic_bracket(field)
     operator_side = algebra.bracket_from_commutator(algebra.position(1), algebra.momentum(1))
     body = [
         f"stochastic_bracket = {bracket!r}",

@@ -15,6 +15,12 @@ from pathlib import Path
 from typing import Iterable
 
 
+# more float64 values than any machine holds (4 EiB): a larger array is out of
+# memory. numpy refuses one near sys.maxsize // 8 values with a ValueError
+# that names no size, so callers check this bound before they allocate
+MAX_FLOATS = 2**59
+
+
 class ValidationError(ValueError):
     """Raised when parameters or state data violate an invariant."""
 
@@ -63,6 +69,9 @@ def validate(params: StringParams) -> list[str]:
     errors = []
     if not 0 < params.alpha_prime < math.inf:
         errors.append(f"alpha_prime must be finite and positive, got {params.alpha_prime}")
+    elif not math.isfinite(4.0 * params.alpha_prime):
+        # the oscillator length sqrt(4 alpha' / n) and the diffusion 2 alpha' need it
+        errors.append(f"alpha_prime = {params.alpha_prime} is too large: 4 alpha' overflows")
     if params.dims < 3:
         errors.append(
             f"dims must be >= 3 (no transverse directions otherwise), got {params.dims}"
@@ -80,12 +89,13 @@ class ModeStateSpec:
 
     ``occupations`` maps (n, i) with mode n >= 1 and transverse direction
     i in 1..D-2 to a non-negative excitation number. Directions absent
-    from the map are in their ground state. ``zero_mode_momentum`` holds
-    the D-2 components of the zero-mode momentum.
+    from the map are in their ground state. ``zero_mode_momentum`` maps a
+    transverse direction i in 1..D-2 to its zero-mode momentum component;
+    directions absent from the map carry none.
     """
 
     occupations: dict[tuple[int, int], int] = field(default_factory=dict)
-    zero_mode_momentum: tuple[float, ...] = ()
+    zero_mode_momentum: dict[int, float] = field(default_factory=dict)
 
     def occupation(self, n: int, i: int) -> int:
         return self.occupations.get((n, i), 0)
@@ -104,16 +114,14 @@ class ModeStateSpec:
                 )
             if k < 0:
                 raise ValidationError(f"occupation must be >= 0, got k = {k} at ({n},{i})")
-        if self.zero_mode_momentum and len(self.zero_mode_momentum) != params.transverse_count:
-            raise ValidationError(
-                f"zero_mode_momentum needs {params.transverse_count} components, "
-                f"got {len(self.zero_mode_momentum)}"
-            )
+        for i in self.zero_mode_momentum:
+            if not 1 <= i <= params.transverse_count:
+                raise ValidationError(
+                    f"direction = {i} outside 1..{params.transverse_count}"
+                )
 
     def momentum_component(self, i: int) -> float:
-        if not self.zero_mode_momentum:
-            return 0.0
-        return self.zero_mode_momentum[i - 1]
+        return self.zero_mode_momentum.get(i, 0.0)
 
 
 def write_artifact(path: str | Path, header_lines: Iterable[str], chunks: Iterable[str]) -> Path:

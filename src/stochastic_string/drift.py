@@ -31,10 +31,6 @@ from .core import StringParams, ValidationError
 _DRIFT_CAP = 1.0e6
 
 
-class UnsupportedStateError(ValidationError):
-    """Requested quantity is not defined for this state (e.g. zero-mode density)."""
-
-
 @dataclass(frozen=True)
 class StationaryModeState:
     """One mode of the string in a stationary state.
@@ -75,7 +71,7 @@ class StationaryModeState:
     def scale(self) -> float:
         """Inverse oscillator length sqrt(m_eff * omega) = sqrt(n/(4*alpha'))."""
         if self.n == 0:
-            raise UnsupportedStateError("zero mode has no oscillator length")
+            raise ValidationError("zero mode has no oscillator length")
         return math.sqrt(self.n / (4.0 * self.params.alpha_prime))
 
     @property
@@ -107,7 +103,7 @@ class StationaryModeState:
     def density(self, x):
         """Stationary probability density, normalized to 1 on the line."""
         if self.n == 0:
-            raise UnsupportedStateError(
+            raise ValidationError(
                 "zero mode has no normalizable stationary density"
             )
         beta = self.scale
@@ -125,7 +121,7 @@ class StationaryModeState:
     def log_density_gradient(self, x):
         """d(log rho)/dx = beta (2 sum_i 1/(xi - xi_i) - 2 xi): one pole per node."""
         if self.n == 0:
-            raise UnsupportedStateError("zero mode density is uniform")
+            raise ValidationError("zero mode density is uniform")
         beta = self.scale
         xi = beta * np.asarray(x, dtype=float)
         poles = 0.0
@@ -177,7 +173,7 @@ class StationaryModeState:
         inverse-CDF interpolation on a fine grid spanning the support.
         """
         if self.n == 0:
-            raise UnsupportedStateError(
+            raise ValidationError(
                 "zero mode has no normalizable stationary density"
             )
         if self.k == 0:

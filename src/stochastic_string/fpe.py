@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import StringParams, ValidationError, write_artifact
+from .core import MAX_FLOATS, StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 # sub-steps one evolve_fokker_planck call may take: 45 times the most any
@@ -70,8 +70,9 @@ class GridField:
 
 
 def _check_grid(x_min: float, x_max: float, points: int) -> None:
-    """Reject a grid span that is not finite or not increasing, or fewer than 3
-    points, before any grid is built."""
+    """Reject a grid span that is not finite or not increasing, fewer than 3
+    points or more than numpy can hold, or a spacing h whose h^2 or 1/h^2
+    is not finite, before any grid is built."""
     for name, value in (("x_min", x_min), ("x_max", x_max)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
@@ -81,10 +82,14 @@ def _check_grid(x_min: float, x_max: float, points: int) -> None:
         raise ValidationError("x_max must exceed x_min")
     if points < 3:
         raise ValidationError(f"grid needs at least 3 points, got points = {points}")
+    if points > MAX_FLOATS:
+        raise MemoryError(f"points = {points} is more floats than any machine holds")
     h = (x_max - x_min) / (points - 1)
-    if not (h**2 > 0 and math.isfinite(1.0 / h**2)):
+    # h * h, not h**2: a Python float's ** raises OverflowError where * gives inf
+    h2 = h * h
+    if not (0 < h2 < math.inf and math.isfinite(1.0 / h2)):
         raise ValidationError(
-            f"grid spacing h = {h} is too fine for a finite 1/h^2: "
+            f"grid spacing h = {h} needs a finite h^2 and 1/h^2: "
             f"x_min = {x_min}, x_max = {x_max}, points = {points}"
         )
 

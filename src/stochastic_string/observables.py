@@ -20,18 +20,6 @@ from .core import StringParams, ValidationError
 from .drift import StationaryModeState
 
 
-class ExcitedStateError(ValidationError):
-    """Correlator estimator is only defined for ground-state ensembles."""
-
-
-class ZeroModeError(ValidationError):
-    """Zero mode is excluded from correlators."""
-
-
-class MissingModeError(ValidationError):
-    """Summed correlator requires every (mode, direction) run."""
-
-
 @dataclass(frozen=True)
 class CorrelatorEstimate:
     mode: int
@@ -42,9 +30,9 @@ class CorrelatorEstimate:
 
 def _require_ground_state(state: StationaryModeState) -> None:
     if state.n < 1:
-        raise ZeroModeError("zero mode is excluded from correlators")
+        raise ValidationError(f"zero mode n = {state.n} is excluded from correlators")
     if state.k != 0:
-        raise ExcitedStateError(
+        raise ValidationError(
             f"correlator contract holds for k = 0, ensemble has k = {state.k}"
         )
 
@@ -171,7 +159,7 @@ def summed_correlator(
     }
     missing = sorted(required - set(estimates))
     if missing:
-        raise MissingModeError(f"missing (mode, direction) runs: {missing[:8]}")
+        raise ValidationError(f"missing (mode, direction) runs: {missing[:8]}")
     taus = sorted({est.delta_tau for est in estimates.values()})
     if taus[-1] - taus[0] > 1.0e-9:
         raise ValidationError(f"estimates at different delta_tau {taus[0]} and {taus[-1]}")

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ModeStateSpec, StringParams, ValidationError, write_artifact
+from .core import MAX_FLOATS, ModeStateSpec, StringParams, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 InitSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -257,6 +257,8 @@ def simulate(
     draw_initial = _initial_sampler(mode_state, init)
     nodes = mode_state.nodes()
     n_recorded = steps // record_stride + 1
+    if count * n_recorded > MAX_FLOATS:
+        raise MemoryError(f"{count} x {n_recorded} samples are more floats than any machine holds")
     samples = np.empty((count, n_recorded), dtype=float)
     clamp_events = 0
     node_crossings = 0

@@ -229,9 +229,7 @@ def test_criterion_08_bracket_correspondence():
     with _Criterion(8, "{<x>, <p>}_s = 1 and matches the commutator side"):
         state = StationaryModeState(PARAMS, 1, 0)
         field = fpe.stationary_field(state, -6.0, 6.0, 2001)
-        bracket = algebra.stochastic_bracket(
-            algebra.mean_position(), algebra.mean_momentum(), field
-        )
+        bracket = algebra.stochastic_bracket(field)
         assert bracket == pytest.approx(1.0, abs=1e-4)
         operator_side = algebra.bracket_from_commutator(
             algebra.position(1), algebra.momentum(1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochastic_string.core import StringParams
+from stochastic_string.core import StringParams, ValidationError
 from fock import (
     AuxOscillator,
     apply_expr,
@@ -17,7 +17,6 @@ from fock import (
 from stochastic_string import algebra
 from stochastic_string.algebra.lorentz import (
     AlgebraConsistencyError,
-    TruncationError,
     alpha_terms_to_expr,
     anomaly_coefficient,
     anomaly_report,
@@ -162,10 +161,29 @@ def test_anomaly_independent_of_alpha_prime_and_p_plus():
 
 
 def test_anomaly_truncation_guard():
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValidationError, match="mode_cutoff 4 too small: anomaly mode 3"):
         anomaly_coefficient(3, StringParams(alpha_prime=0.5, mode_cutoff=4))
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValidationError, match="mode_cutoff 4 too small for anomaly mode 3"):
         anomaly_value_direct(3, StringParams(alpha_prime=0.5, mode_cutoff=4), 1)
+    with pytest.raises(ValidationError, match="anomaly mode must be >= 1, got 0"):
+        anomaly_coefficient(0, StringParams(alpha_prime=0.5, mode_cutoff=4))
+    with pytest.raises(ValidationError, match="too many digits"):
+        anomaly_coefficient(1, StringParams(alpha_prime=0.1234567, mode_cutoff=2))
+
+
+def test_cutoff_dependence_is_a_consistency_fault(monkeypatch):
+    # Delta_m must not change when the internal cutoff is raised; if it does,
+    # the algebra is at fault, not the input
+    from stochastic_string.algebra import lorentz
+
+    parts = lorentz._anomalous_affine_parts
+    monkeypatch.setattr(
+        lorentz, "_anomalous_affine_parts",
+        lambda m, t, n_max, ap, pp: parts(m, t, n_max, ap, pp)
+        if n_max == 2 * m else (Fraction(1), Fraction(0)),
+    )
+    with pytest.raises(AlgebraConsistencyError, match="raising the internal cutoff 2 -> 3"):
+        anomaly_coefficient(1, StringParams(alpha_prime=0.5, mode_cutoff=2))
 
 
 def test_anomaly_direct_matches_polynomial(params):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from stochastic_string.cli import (
-    _COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig, _bind_negative_values,
-    _build_parser, _merge_config, run,
+    _COMMANDS, CONFIG_KEYS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig,
+    _bind_negative_values, _build_parser, _merge_config, run,
 )
 from stochastic_string.core import StringParams
 from stochastic_string.drift import StationaryModeState
@@ -42,6 +42,10 @@ _OPTIONS = {
     "bracket-check": _COMMON | {"--x-min", "--x-max", "--points"},
     "transport-check": _COMMON | {"--n", "-M", "--count", "--d-tau", "--steps"},
 }
+
+
+# more values than any array can hold
+_HUGE = str(10**30)
 
 
 class _Overrun(BaseException):
@@ -167,6 +171,26 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
      "x_min = 0.0, x_max = 1e-300, points = 401"),
     (["madelung-check", "--x-min", "0", "--x-max", "1e-300"],
      "x_min = 0.0, x_max = 1e-300, points = 401"),
+    # h^2 overflows
+    (["bracket-check", "--x-min", "0", "--x-max", "1e200", "--points", "41"],
+     "x_min = 0.0, x_max = 1e+200, points = 41"),
+    (["madelung-check", "--x-min", "-1e308", "--points", "41"],
+     "x_min = -1e+308, x_max = 6.0, points = 41"),
+    (["fpe-check", "--x-max", "1e200", "--points", "41", "-M", "5", "--steps", "5"],
+     "x_min = -6.0, x_max = 1e+200, points = 41"),
+    (["correlate", "--n", "0", "-M", "5"], "n = 0"),
+    # sizes no machine holds are out of memory, checked before any allocation
+    (["simulate", "-M", "2", "--steps", _HUGE],
+     f"out of memory for count = 2 and steps = {_HUGE}"),
+    (["simulate", "-M", _HUGE, "--steps", "5"],
+     f"out of memory for count = {_HUGE} and steps = 5"),
+    (["correlate", "-M", _HUGE], f"out of memory for count = {_HUGE}"),
+    (["transport-check", "-M", _HUGE, "--steps", "5"],
+     f"out of memory for count = {_HUGE} and steps = 5"),
+    (["bracket-check", "--points", _HUGE], f"out of memory for points = {_HUGE}"),
+    (["fpe-check", "--points", _HUGE, "-M", "5", "--steps", "5"],
+     f"out of memory for count = 5 and steps = 5 and points = {_HUGE}"),
+    (["madelung-check", "--points", _HUGE], f"out of memory for points = {_HUGE}"),
 ], ids=[
     "simulate-direction-99", "simulate-direction-0", "simulate-n-9", "simulate-n0-k1",
     "correlate-n-9", "madelung-n-9", "madelung-k12-points-101", "simulate-n1-momentum",
@@ -177,7 +201,10 @@ def test_bad_step_size_exit_code(tmp_path, capsys, argv, name):
     "simulate-k-171", "madelung-k-171", "bracket-span-overflow", "madelung-span-overflow",
     "fpe-span-overflow", "fpe-grid-without-mass", "bracket-grid-without-mass",
     "madelung-grid-without-mass", "madelung-grid-below-density-floor",
-    "fpe-spacing-underflow", "madelung-spacing-underflow",
+    "fpe-spacing-underflow", "madelung-spacing-underflow", "bracket-spacing-overflow",
+    "madelung-spacing-overflow", "fpe-spacing-overflow", "correlate-n-0",
+    "simulate-steps-huge", "simulate-count-huge", "correlate-count-huge",
+    "transport-count-huge", "bracket-points-huge", "fpe-points-huge", "madelung-points-huge",
 ])
 def test_mode_state_out_of_range_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -442,11 +469,63 @@ def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypat
     (["simulate", "--n", "0", "--momentum", "inf", "--init", "0", "-M", "5", "--steps", "5"],
      "momentum"),
     (["bracket-check", "--x-min", "-inf"], "x_min"),
+    # finite, but 2 alpha' and 4 alpha' overflow
+    (["simulate", "--alpha-prime", "1e308", "-M", "5", "--steps", "5"], "alpha_prime"),
+    (["correlate", "--alpha-prime", "1e308", "-M", "5"], "alpha_prime"),
+    (["transport-check", "--alpha-prime", "1e308", "-M", "5", "--steps", "5"], "alpha_prime"),
+    (["fpe-check", "--alpha-prime", "1e308", "-M", "5", "--steps", "5"], "alpha_prime"),
+    (["madelung-check", "--alpha-prime", "1e308"], "alpha_prime"),
+    (["bracket-check", "--alpha-prime", "1e308"], "alpha_prime"),
 ])
 def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
     assert code == EXIT_VALIDATION
     assert name in capsys.readouterr().err
+
+
+_EDGE_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "5e-324", "-0.0", "0"]
+# the size flags of a sweep run, each given where its command takes it
+_SWEEP_SIZES = {"count": ["-M", "5"], "steps": ["--steps", "5"], "points": ["--points", "41"],
+                "m": ["--m", "1"]}
+
+
+def _float_fields():
+    types = {f.name: f.type for f in fields(RunConfig)}
+    return [
+        (command, name)
+        for command, (_, _, names) in _COMMANDS.items()
+        for name in (*CONFIG_KEYS, *names.split())
+        if types[name] == "float"
+    ]
+
+
+@pytest.mark.parametrize("value", _EDGE_FLOATS)
+@pytest.mark.parametrize("command, name", _float_fields())
+def test_float_edge_value_ends_in_exit_code(tmp_path, command, name, value):
+    # every float field of every command at the edges of the float range:
+    # the run ends in a documented exit code, never an exception out of run
+    taken = _COMMANDS[command][2].split()
+    sizes = [arg for field, args in _SWEEP_SIZES.items() if field in taken for arg in args]
+    flag = "--" + name.replace("_", "-")
+    with _deadline(20):
+        code = run([command, flag, value, *sizes, "--out", str(tmp_path), "--no-timestamp"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+def test_zero_mode_momentum_memory_independent_of_dims(tmp_path):
+    # the momentum of one direction is stored, not one component per direction
+    tracemalloc.start()
+    try:
+        code = run([
+            "simulate", "--n", "0", "--momentum", "0.3", "--init", "0", "-M", "2", "--steps", "2",
+            "--dims", "10000000", "--out", str(tmp_path), "--no-timestamp",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    # D - 2 stored components would take 80 MB at this D
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("argv, name, value", [

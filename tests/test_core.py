@@ -51,6 +51,9 @@ def test_mode_state_validation(params):
         ModeStateSpec(occupations={(1, 30): 1}).validate(params)
     with pytest.raises(ValidationError):
         ModeStateSpec(occupations={(1, 1): -1}).validate(params)
-    with pytest.raises(ValidationError):
-        ModeStateSpec(zero_mode_momentum=(1.0, 2.0)).validate(params)
+    ModeStateSpec(zero_mode_momentum={24: 1.0}).validate(params)
+    with pytest.raises(ValidationError, match="direction = 25"):
+        ModeStateSpec(zero_mode_momentum={25: 1.0}).validate(params)
+    with pytest.raises(ValidationError, match="direction = 0"):
+        ModeStateSpec(zero_mode_momentum={0: 1.0}).validate(params)
 

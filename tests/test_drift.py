@@ -6,8 +6,8 @@ from numpy.polynomial.hermite import hermder, hermval
 from scipy.integrate import quad
 
 from stochastic_string import drift as drift_module
-from stochastic_string.core import StringParams
-from stochastic_string.drift import StationaryModeState, UnsupportedStateError
+from stochastic_string.core import StringParams, ValidationError
+from stochastic_string.drift import StationaryModeState
 
 
 def quad_moment(state, power):
@@ -46,7 +46,7 @@ def test_first_excited_state_node_at_origin(params):
 
 def test_zero_mode_has_no_density(params):
     state = StationaryModeState(params, 0, momentum=2.0)
-    with pytest.raises(UnsupportedStateError):
+    with pytest.raises(ValidationError, match="zero mode has no normalizable stationary density"):
         state.density(1.0)
 
 

@@ -8,11 +8,8 @@ from stochastic_string.drift import StationaryModeState
 from stochastic_string import observables, sde
 from stochastic_string.observables import (
     CorrelatorEstimate,
-    ExcitedStateError,
     LagProducts,
     MAX_LEVEL,
-    MissingModeError,
-    ZeroModeError,
     fit_log_slope,
     level_spectrum,
     zeta_intercept,
@@ -60,9 +57,9 @@ def test_log_slope(ground_products):
 
 
 def test_mode_correlator_validation(ground_products, params):
-    with pytest.raises(ExcitedStateError):
+    with pytest.raises(ValidationError, match="correlator contract holds for k = 0"):
         LagProducts(StationaryModeState(params, 1, 1), 1e-3, 1, [0])
-    with pytest.raises(ZeroModeError):
+    with pytest.raises(ValidationError, match="zero mode n = 0 is excluded from correlators"):
         LagProducts(StationaryModeState(params, 0, momentum=0.0), 1e-3, 1, [0])
     with pytest.raises(ValidationError, match="lag -1"):
         LagProducts(ground_products.state, 1e-3, 100, [-1])
@@ -155,9 +152,9 @@ def test_summed_correlator_sums_parts_exactly(monkeypatch):
 
 def test_summed_correlator_missing_mode():
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
-    with pytest.raises(MissingModeError):
+    with pytest.raises(ValidationError, match=r"missing \(mode, direction\) runs"):
         summed_correlator(params, {(1, i): CorrelatorEstimate(1, 0.5, 1.0, 0.1) for i in (1, 2)})
-    with pytest.raises(MissingModeError):
+    with pytest.raises(ValidationError, match=r"missing \(mode, direction\) runs"):
         summed_correlator(params, {})
 
 
