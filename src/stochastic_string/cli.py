@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -129,6 +130,8 @@ _HELP = {
 }
 
 
+# built once per process: parsing leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stochastic-string", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

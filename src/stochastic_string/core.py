@@ -10,6 +10,7 @@ mode diffuses with constant 2*alpha', the zero mode with alpha'.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -72,6 +73,9 @@ def validate(params: StringParams) -> list[str]:
     elif not math.isfinite(4.0 * params.alpha_prime):
         # the oscillator length sqrt(4 alpha' / n) and the diffusion 2 alpha' need it
         errors.append(f"alpha_prime = {params.alpha_prime} is too large: 4 alpha' overflows")
+    elif 4.0 * params.alpha_prime < sys.float_info.min:
+        # a subnormal 4 alpha' makes the inverse oscillator length n / (4 alpha') overflow
+        errors.append(f"alpha_prime = {params.alpha_prime} is too small: 4 alpha' is subnormal")
     if params.dims < 3:
         errors.append(
             f"dims must be >= 3 (no transverse directions otherwise), got {params.dims}"

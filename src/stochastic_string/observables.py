@@ -116,16 +116,25 @@ class LagProducts:
 
         Each trajectory contributes the time average of q_t q_{t+lag} over all
         recorded origins; the standard error is taken across trajectories,
-        which are independent by construction.
+        which are independent by construction. A value or standard error
+        that is not finite, or a standard error of 0, is a ``RuntimeError``.
         """
         if lag not in self.lags or lag >= self.recorded:
             raise ValidationError(f"lag {lag} outside recorded range or the summed {self.lags}")
         row = self.lags.index(lag)
         per_traj = np.concatenate([sums[row] for sums in self._sums]) / (self.recorded - lag)
         lag_tau = lag * self.d_tau * self.record_stride
-        return CorrelatorEstimate(
-            self.state.n, lag_tau, float(per_traj.mean()), _standard_error(per_traj)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            value = float(per_traj.mean())
+            error = _standard_error(per_traj)
+        if not (math.isfinite(value) and 0 < error < math.inf):
+            # amplitudes sqrt(2 alpha'/n) whose squared products leave float64
+            raise RuntimeError(
+                f"correlator at n = {self.state.n} has value {value} and standard error "
+                f"{error}: lag products over- or underflow at alpha_prime = "
+                f"{self.state.params.alpha_prime}"
+            )
+        return CorrelatorEstimate(self.state.n, lag_tau, value, error)
 
 
 def analytic_correlator(params: StringParams, n: int, delta_tau: float) -> float:
@@ -235,7 +244,7 @@ def correlator_report_rows(
     rows = []
     for est in estimates:
         analytic = analytic_correlator(params, est.mode, est.delta_tau)
-        z = (est.value - analytic) / est.standard_error if est.standard_error else 0.0
+        z = (est.value - analytic) / est.standard_error
         rows.append(
             {
                 "n": est.mode,

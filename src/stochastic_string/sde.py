@@ -9,9 +9,11 @@ last draw. One ``Generator`` serves a whole ``simulate`` call: it is set
 to a trajectory's row before each block of draws, which yields exactly the
 draws of ``Generator(Philox(key=[seed, j]))`` without building one per
 trajectory, and the row takes the state back when another block follows,
-so the noise drawn ahead is bounded however large ``steps`` is. An
-observer passed to ``simulate`` sees the amplitudes after every step, so
-a check such as ``RateBins`` can bin a run without storing it.
+so the noise drawn ahead is bounded however large ``steps`` is. A run is
+split into the fewest equal chunks that bound allows, and its noise is
+sized to the widest chunk it really has, not to the cap. An observer
+passed to ``simulate`` sees the amplitudes after every step, so a check
+such as ``RateBins`` can bin a run without storing it.
 """
 
 from __future__ import annotations
@@ -124,16 +126,27 @@ def _resume_stream(rng: np.random.Generator, row: np.ndarray) -> None:
     }
 
 
+def _chunk_width(count: int, held: int = 1) -> int:
+    """Trajectories per chunk of a run of ``count``: the fewest chunks that
+    ``min(_CHUNK, _NOISE_VALUES // held)`` allows, made equal, so only the
+    last may be narrower."""
+    chunks = -(-count // min(_CHUNK, count, _NOISE_VALUES // held))
+    return -(-count // chunks)
+
+
 def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
                   draw_initial: Callable[[np.random.Generator], float]):
     """Lay out the scaled noise of a run of ``count`` trajectories and yield
     ``(start, q0, first, block)`` over it, chunk by chunk and block by block.
 
-    Trajectories run in chunks of up to ``_CHUNK``, narrowed so that an
-    observer holding ``held`` columns of its chunk (``LagProducts``' lag
-    ring) keeps at most ``_NOISE_VALUES`` values; ``held`` must not exceed
-    ``_NOISE_VALUES``. Trajectory j's Philox stream, keyed by (seed, j),
-    first gives q_0 and then its noise in order, one block of
+    Trajectories run in as few chunks as a cap of ``_CHUNK`` allows,
+    narrowed so that an observer holding ``held`` columns of its chunk
+    (``LagProducts``' lag ring) keeps at most ``_NOISE_VALUES`` values;
+    ``held`` must not exceed ``_NOISE_VALUES``. The chunks are equal, the
+    last perhaps narrower (``_chunk_width``), and the noise block, tile and
+    stream table are sized to that width, so a run of 6000 holds two chunks
+    of 3000 rather than room for 4096. Trajectory j's Philox stream, keyed
+    by (seed, j), first gives q_0 and then its noise in order, one block of
     ``_NOISE_VALUES // _CHUNK`` steps at a time, so the noise drawn ahead is
     at most ``_NOISE_VALUES`` values (32 MiB) however large ``steps`` is.
     Each stream fills one row of a tile of ``_TILE`` trajectories; the tile
@@ -145,7 +158,7 @@ def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
     before its first block (``first == 0``); ``block[t]`` is the noise of
     step ``first + t`` and is overwritten by the next block.
     """
-    chunk = min(_CHUNK, count, _NOISE_VALUES // held)
+    chunk = _chunk_width(count, held)
     block_steps = min(steps, _NOISE_VALUES // _CHUNK)
     tile_rows = min(_TILE, chunk)
     noise = np.empty(chunk * block_steps)
@@ -455,9 +468,10 @@ def transport_derivative_check(
     if ensemble.record_stride != 1:
         raise ValidationError("transport derivatives need record_stride == 1")
     bins = transport_bins(ensemble.state, F, ensemble.d_tau)
-    for start in range(0, ensemble.count, _CHUNK):
+    chunk = _chunk_width(ensemble.count)
+    for start in range(0, ensemble.count, chunk):
         # one transposed copy per chunk, so that each column binned is contiguous
-        for t, col in enumerate(ensemble.samples[start : start + _CHUNK].T.copy()):
+        for t, col in enumerate(ensemble.samples[start : start + chunk].T.copy()):
             bins(t, col)
     return transport_deviation(bins, ensemble.state, dF, d2F)
 

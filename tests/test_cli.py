@@ -483,6 +483,27 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    # 4 alpha' is subnormal, so the oscillator scale sqrt(n / (4 alpha')) is inf
+    (["simulate", "--alpha-prime", "5e-324", "-M", "5", "--steps", "5"], EXIT_VALIDATION),
+    (["correlate", "--alpha-prime", "5e-324", "-M", "5"], EXIT_VALIDATION),
+    (["fpe-check", "--alpha-prime", "5e-324", "-M", "5", "--steps", "5"], EXIT_VALIDATION),
+    (["madelung-check", "--alpha-prime", "1e-310"], EXIT_VALIDATION),
+    (["bracket-check", "--alpha-prime", "1e-310"], EXIT_VALIDATION),
+    # the lag products' squares overflow (1e200) or underflow (1e-200), so the
+    # standard error is inf or 0 and no z-score means anything
+    (["correlate", "--alpha-prime", "1e200", "-M", "5"], EXIT_NUMERICAL),
+    (["correlate", "--alpha-prime", "1e-200", "-M", "5"], EXIT_NUMERICAL),
+], ids=lambda v: "-".join(v[:3:2]) if isinstance(v, list) else f"exit{v}")
+def test_alpha_prime_past_float_range_exit_code(tmp_path, capsys, argv, expected):
+    code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert code == expected
+    captured = capsys.readouterr()
+    assert "alpha_prime" in captured.err
+    assert "wrote" not in captured.out
+    assert not list(tmp_path.iterdir())
+
+
 _EDGE_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "5e-324", "-0.0", "0"]
 # the size flags of a sweep run, each given where its command takes it
 _SWEEP_SIZES = {"count": ["-M", "5"], "steps": ["--steps", "5"], "points": ["--points", "41"],
@@ -499,11 +520,13 @@ def _float_fields():
     ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", _EDGE_FLOATS)
 @pytest.mark.parametrize("command, name", _float_fields())
 def test_float_edge_value_ends_in_exit_code(tmp_path, command, name, value):
     # every float field of every command at the edges of the float range:
-    # the run ends in a documented exit code, never an exception out of run
+    # the run ends in a documented exit code, never an exception out of run,
+    # and no numpy RuntimeWarning escapes it
     taken = _COMMANDS[command][2].split()
     sizes = [arg for field, args in _SWEEP_SIZES.items() if field in taken for arg in args]
     flag = "--" + name.replace("_", "-")
@@ -737,8 +760,8 @@ def test_transport_check_memory_independent_of_steps(tmp_path, monkeypatch):
     from stochastic_string import sde
 
     # a small noise buffer, so the ensemble would dominate if it were stored;
-    # each count exceeds the 1310 trajectories it holds at 400 steps, so the
-    # buffer is the same size at both step counts
+    # it is drawn in blocks of _NOISE_VALUES // _CHUNK = 128 steps for the
+    # one chunk of each count, so it is the same size at both step counts
     monkeypatch.setattr(sde, "_NOISE_VALUES", 2**19)
     for command, count in (("transport-check", "2000"), ("fpe-check", "1400")):
         peaks = []
@@ -784,8 +807,9 @@ def test_correlate_memory_independent_of_steps(tmp_path, monkeypatch):
     from stochastic_string import sde
 
     # a small noise buffer, so a stored ensemble would dominate; 1000
-    # trajectories exceed the 327 it holds at 200 steps, so the chunk,
-    # and with it the lag ring buffer, shrinks as the steps grow
+    # trajectories exceed the 648 whose lag ring of 101 columns fits it at
+    # lag 1 (163 with 401 columns at lag 4), so the chunks, and with them the
+    # lag ring buffer, narrow as the lag grows: 2 of 500, then 7 of 143
     monkeypatch.setattr(sde, "_NOISE_VALUES", 2**16)
     peaks = []
     for lag in ("1", "4"):  # 200 and 800 steps of 0.01

@@ -29,7 +29,7 @@ STEPS, COUNT = 200, 4000
     (1, 5e-3),
 ])
 def test_lag_products_equal_the_chain_at_every_lag(monkeypatch, n, d_tau):
-    monkeypatch.setattr(sde, "_CHUNK", 1500)  # chunks of 1500, 1500, 1000
+    monkeypatch.setattr(sde, "_CHUNK", 1500)  # chunks of 1334, 1334, 1332
     state = StationaryModeState(PARAMS, n)
     chain = EulerChain.of(state, d_tau)
     # stride 3 records t = 0, 3, .., 198: the last two steps are never recorded

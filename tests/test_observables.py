@@ -118,7 +118,7 @@ def test_summed_correlator_sums_parts_exactly(monkeypatch):
     params = StringParams(alpha_prime=0.5, dims=4, mode_cutoff=2)
     spec = ModeStateSpec()
     # every estimate is the estimator's definition on the same run's stored
-    # samples, and streaming in chunks of 150, 150, 100 equals streaming in
+    # samples, and streaming in chunks of 134, 134, 132 equals streaming in
     # one chunk bit for bit, from lag 0 to the largest recorded lag
     for stride in (1, 10):
         lags = [0, 100 // stride, 200 // stride]  # 0, delta_tau = 1 and the last column

@@ -382,7 +382,7 @@ def test_simulate_equals_fresh_stream_reference(params, n, spec, init):
 # (_CHUNK, _NOISE_VALUES, _TILE) against 40 trajectories of 12 steps
 _LAYOUTS = {
     "one-chunk-one-block": (64, 64 * 12, 64),
-    "chunks": (16, 16 * 12, 5),  # chunks of 16, 16, 8 in tiles of 5
+    "chunks": (16, 16 * 12, 5),  # chunks of 14, 14, 12 in tiles of 5
     "blocks": (64, 64 * 5, 64),  # blocks of 5, 5, 2 steps
     "chunks-and-blocks": (16, 16 * 5, 5),
 }
@@ -462,6 +462,29 @@ def test_noise_memory_bounded_for_any_steps(params, ground_spec, monkeypatch):
     assert np.isfinite(ens.samples).all()
     # drawn at once, the noise alone would take 10 times this
     assert peak <= 8 * sde._NOISE_VALUES
+
+
+def test_noise_sized_to_the_widest_chunk(params, ground_spec, monkeypatch):
+    # one trajectory over the cap: chunks of 129 and 128, so the noise block,
+    # tile and stream table hold 129 trajectories, not the cap's 256
+    monkeypatch.setattr(sde, "_CHUNK", 256)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 256 * 512)  # blocks of 512 steps
+    monkeypatch.setattr(sde, "_TILE", 8)
+    count, steps = sde._CHUNK + 1, 512
+    width = sde._chunk_width(count)
+    assert width == math.ceil(count / 2)
+    widths = set()
+    tracemalloc.start()
+    try:
+        simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=steps, count=count, seed=7,
+                 record_stride=steps, observe=lambda t, col: widths.add(len(col)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == {width, count - width}
+    noise = 8 * width * steps
+    # noise for a full chunk would add 8 x 127 x 512 bytes (0.52 MB)
+    assert noise <= peak < noise + 4 * (sde._CHUNK - width) * steps
 
 
 def test_node_crossings_counted(params):
@@ -572,13 +595,14 @@ def test_simulate_validation(params, ground_spec):
 def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, backward):
     # streamed in chunks, the sums equal the per-query reference replaying
     # the stored run one chunk slice at a time
-    monkeypatch.setattr(sde, "_CHUNK", 150)  # chunks of 150, 150, 150, 50
+    monkeypatch.setattr(sde, "_CHUNK", 150)  # chunks of 125, 125, 125, 125
     kwargs = dict(d_tau=1e-3, steps=40, count=500, seed=23)
     probe = np.linspace(-1.5, 1.5, 7)
     streamed = sde.RateBins(F, probe, 0.25, 1e-3, backward)
     ens = simulate(params, ground_spec, 1, 1, observe=streamed, **kwargs)
     queries = [(F, True), (F, False)] if backward else [(F, True)]
-    blocks = [ens.samples[start : start + 150] for start in range(0, 500, 150)]
+    width = sde._chunk_width(500)
+    blocks = [ens.samples[start : start + width] for start in range(0, 500, width)]
     expected = _per_query_reference(blocks, 1e-3, queries, probe, 0.25)
     for got_stats, expected_stats in zip(streamed.rates(1), expected):
         for a, b in zip(got_stats, expected_stats):
@@ -591,7 +615,7 @@ def test_streamed_rates_equal_replayed(params, ground_spec, monkeypatch, F, back
 
 
 def test_streamed_transport_deviation_equals_check(params, ground_spec, monkeypatch):
-    monkeypatch.setattr(sde, "_CHUNK", 700)  # chunks of 700, 700, 600
+    monkeypatch.setattr(sde, "_CHUNK", 700)  # chunks of 667, 667, 666
     kwargs = dict(d_tau=1e-3, steps=30, count=2000, seed=24)
     state = sde._resolve_state(params, ground_spec, 1, 1)
     bins = sde.transport_bins(state, lambda x: x, 1e-3)
