@@ -1,15 +1,17 @@
-"""Normal-ordered polynomials in bosonic ladder operators and zero modes.
+"""Normal-ordered polynomials in alpha-normalized oscillators and zero modes.
 
 Words are products of the generators
-    ("c", n, i)  creation operator for mode n >= 1, direction i
-    ("a", n, i)  annihilation operator
-    ("x", i)     transverse zero-mode position
-    ("p", i)     transverse zero-mode momentum
-with the canonical commutators [a_{m,i}, c_{n,j}] = delta_mn delta_ij and
-[x_i, p_j] = i delta_ij; everything else commutes. The canonical word
-order is daggers, then positions, then momenta, then annihilators, each
-block sorted by (mode, direction). Expressions store only canonical words,
-so canonicalization is idempotent by construction.
+    ("c", n, i)  alpha_{-n}^i, the raising oscillator of mode n >= 1, direction i
+    ("a", n, i)  alpha_n^i, its lowering partner
+    ("x", i)     the zero-mode position y^i = x^i / (2 alpha')^(1/2)
+    ("p", i)     the zero-mode momentum alpha_0^i = (2 alpha')^(1/2) p^i
+with the canonical commutators [alpha_m^i, alpha_{-n}^j] = m delta_mn delta_ij
+and [y^i, alpha_0^j] = i delta_ij; everything else commutes. Every weight
+that normal ordering produces is therefore a Gaussian rational. The
+canonical word order is raising oscillators, then positions, then
+momenta, then lowering oscillators, each block sorted by (mode,
+direction). Expressions store only canonical words, so canonicalization
+is idempotent by construction.
 """
 
 from __future__ import annotations
@@ -27,18 +29,22 @@ _MINUS_I = Coeff.imaginary(-1)
 
 
 def creation(n: int, i: int) -> "OperatorExpr":
+    """alpha_{-n}^i, which raises mode n >= 1 of direction i."""
     return OperatorExpr({(("c", n, i),): ONE})
 
 
 def annihilation(n: int, i: int) -> "OperatorExpr":
+    """alpha_n^i, which lowers mode n >= 1 of direction i: [alpha_n, alpha_{-n}] = n."""
     return OperatorExpr({(("a", n, i),): ONE})
 
 
 def position(i: int) -> "OperatorExpr":
+    """y^i = x^i / (2 alpha')^(1/2), the zero-mode position."""
     return OperatorExpr({(("x", i),): ONE})
 
 
 def momentum(i: int) -> "OperatorExpr":
+    """alpha_0^i = (2 alpha')^(1/2) p^i, the zero-mode momentum: [y^i, alpha_0^i] = i."""
     return OperatorExpr({(("p", i),): ONE})
 
 
@@ -54,10 +60,16 @@ def _sort_key(token: Token):
     return (_CLASS[kind], token[1])
 
 
+@lru_cache(maxsize=None)
+def _level(n: int) -> Coeff:
+    """[alpha_n, alpha_{-n}] = n, one shared Coeff per mode."""
+    return Coeff.rational(n)
+
+
 def _swap_term(left: Token, right: Token) -> Coeff | None:
     """Scalar commutator produced when moving ``left`` past ``right``."""
     if left[0] == "a" and right[0] == "c" and left[1:] == right[1:]:
-        return ONE
+        return _level(left[1])
     if left[0] == "p" and right[0] == "x" and left[1] == right[1]:
         return _MINUS_I
     return None
@@ -136,9 +148,8 @@ class OperatorExpr:
         return self + other.scale(-1)
 
     def scale(self, value) -> "OperatorExpr":
-        if isinstance(value, Coeff):
-            return OperatorExpr({w: c * value for w, c in self.terms.items()})
-        return OperatorExpr({w: c.scale(value) for w, c in self.terms.items()})
+        value = value if isinstance(value, Coeff) else Coeff.rational(value)
+        return OperatorExpr({w: c * value for w, c in self.terms.items()})
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
         return OperatorExpr.from_raw_terms(
@@ -147,7 +158,7 @@ class OperatorExpr:
 
     # -- queries -----------------------------------------------------------
     def coefficient(self, word: Word) -> Coeff:
-        return self.terms.get(tuple(word), Coeff.zero())
+        return self.terms.get(tuple(word), ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -168,10 +179,10 @@ class OperatorExpr:
 def _token_name(token: Token) -> str:
     kind = token[0]
     if kind == "c":
-        return f"ad[{token[1]},{token[2]}]"
+        return f"alpha[-{token[1]},{token[2]}]"
     if kind == "a":
-        return f"a[{token[1]},{token[2]}]"
-    return f"{kind}0[{token[1]}]"
+        return f"alpha[{token[1]},{token[2]}]"
+    return f"{'y' if kind == 'x' else 'alpha0'}[{token[1]}]"
 
 
 def _accumulate(store: dict[Word, Coeff], word: Word, coeff: Coeff) -> None:

@@ -1,21 +1,18 @@
 """Exact scalar coefficients for the operator algebra.
 
-A coefficient is a finite sum  sum_j (re_j + i im_j) * sqrt(r_j)
-with Gaussian-rational weights and squarefree integer radicands r_j. This
-closes under the arithmetic the light-cone generators need (the sqrt(n)
-mode normalizations and sqrt(2 alpha') factors) while staying exact:
-anomaly cancellation is decided by exact zero tests, never by floating
-point.
+A coefficient is a Gaussian rational re + i im. In alpha-normalized
+oscillators every weight of the light-cone generators is one, so the
+ring closes without radicals and anomaly cancellation is decided by exact
+zero tests, never by floating point.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-_ZERO = (Fraction(0), Fraction(0))
+_NIL = Fraction(0)
 # entries of each arithmetic memo below; one anomaly run needs a few hundred
 _CACHE_SIZE = 1 << 17
 
@@ -25,147 +22,73 @@ def exact_fraction(value) -> Fraction:
     return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
 
 
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s^2 * f and f squarefree."""
-    if n <= 0:
-        raise ValueError(f"radicand must be positive, got {n}")
-    s, f, d = 1, 1, 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            s *= d
-        if n % d == 0:
-            n //= d
-            f *= d
-        d += 1
-    return s, f * n
-
-
 # Coeff's memoized arithmetic, bound as its methods below: equal calls share one result
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sqrt(value) -> Coeff:
-    """Exact square root of a positive rational."""
-    fr = Fraction(value)
-    s, f = squarefree_split(fr.numerator * fr.denominator)
-    return Coeff({f: (Fraction(s, fr.denominator), Fraction(0))})
+def _sum(a: Coeff, b: Coeff) -> Coeff:
+    return Coeff(a.re + b.re, a.im + b.im)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sum(a: Coeff, b: Coeff) -> Coeff:
-    out = dict(a.terms)
-    for key, (re, im) in b.terms.items():
-        cre, cim = out.get(key, _ZERO)
-        out[key] = (cre + re, cim + im)
-    return Coeff(out)
+def _difference(a: Coeff, b: Coeff) -> Coeff:
+    return Coeff(a.re - b.re, a.im - b.im)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _product(a: Coeff, b: Coeff) -> Coeff:
-    out: dict[int, tuple[Fraction, Fraction]] = {}
-    for r1, (re1, im1) in a.terms.items():
-        for r2, (re2, im2) in b.terms.items():
-            # squarefree r1, r2: r1 r2 = s^2 f with s = gcd and f squarefree
-            s = math.gcd(r1, r2)
-            f = (r1 // s) * (r2 // s)
-            re = s * (re1 * re2 - im1 * im2)
-            im = s * (re1 * im2 + im1 * re2)
-            cre, cim = out.get(f, _ZERO)
-            out[f] = (cre + re, cim + im)
-    return Coeff(out)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _scaled(a: Coeff, value) -> Coeff:
-    fr = Fraction(value)
-    return Coeff({k: (re * fr, im * fr) for k, (re, im) in a.terms.items()})
+    return Coeff(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
 class Coeff:
-    """Exact coefficient; see module docstring for the form.
+    """Exact coefficient re + i im, with Fraction parts.
 
-    Immutable: nothing writes ``terms`` after construction. Sums, products,
-    ``scale`` and ``sqrt`` are memoized, so equal calls share one result
+    Immutable: nothing writes ``re`` or ``im`` after construction. Sums,
+    differences and products are memoized, so equal calls share one result
     object, and the hash is computed once on first use.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("re", "im", "_hash")
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
-        cleaned = {}
-        if terms:
-            for key, (re, im) in terms.items():
-                if re or im:
-                    cleaned[key] = (re, im)
-        self.terms = cleaned
+    def __init__(self, re: Fraction = _NIL, im: Fraction = _NIL):
+        self.re = re
+        self.im = im
         self._hash = None
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero() -> "Coeff":
-        return Coeff()
 
     @staticmethod
     def rational(value) -> "Coeff":
-        fr = Fraction(value)
-        return Coeff({1: (fr, Fraction(0))})
+        return Coeff(Fraction(value))
 
     @staticmethod
     def imaginary(value=1) -> "Coeff":
-        fr = Fraction(value)
-        return Coeff({1: (Fraction(0), fr)})
+        return Coeff(_NIL, Fraction(value))
 
-    sqrt = staticmethod(_sqrt)
-
-    # -- arithmetic --------------------------------------------------------
     __add__ = _sum
-
-    def __neg__(self) -> "Coeff":
-        return Coeff({k: (-re, -im) for k, (re, im) in self.terms.items()})
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
-
+    __sub__ = _difference
     __mul__ = _product
-    scale = _scaled
 
-    # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.re or self.im)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Coeff) and self.terms == other.terms
+        return isinstance(other, Coeff) and self.re == other.re and self.im == other.im
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.re, self.im))
         return self._hash
 
-    def as_gaussian(self) -> tuple[Fraction, Fraction]:
-        """Collapse to (re, im) Fractions; requires no radicals."""
-        if set(self.terms) - {1}:
-            raise ValueError(f"coefficient is not a plain Gaussian rational: {self}")
-        return self.terms.get(1, _ZERO)
-
     def as_rational(self) -> Fraction:
-        """Collapse to a real rational; requires no radicals and no imaginary part."""
-        re, im = self.as_gaussian()
-        if im:
+        """The real rational value; requires no imaginary part."""
+        if self.im:
             raise ValueError(f"coefficient is not a real rational: {self}")
-        return re
+        return self.re
 
     def to_complex(self) -> complex:
-        return sum((complex(re, im) * r**0.5 for r, (re, im) in self.terms.items()), 0j)
+        return complex(self.re, self.im)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
-        parts = []
-        for r, (re, im) in sorted(self.terms.items()):
-            val = f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
-            if r != 1:
-                val += f"*sqrt({r})"
-            parts.append(val)
-        return " + ".join(parts)
+        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
 
 ZERO = Coeff()

@@ -180,6 +180,19 @@ def _mode_state_spec(cfg: RunConfig) -> ModeStateSpec:
     return ModeStateSpec(occupations=occupations, zero_mode_momentum=momentum)
 
 
+def _unclamped(ensemble: sde.Ensemble) -> sde.Ensemble:
+    """``ensemble`` of a ground-state run, or a numerical failure if any of its
+    drift evaluations was clamped: the exact drift -n q is then not the one
+    the run followed, so no comparison with it means anything."""
+    if ensemble.clamp_events:
+        raise RuntimeError(
+            f"{ensemble.clamp_events} drift evaluations were clamped at alpha_prime = "
+            f"{ensemble.state.params.alpha_prime}: the ground-state drift -n q passed "
+            "the cap, so the run is not the process its reference describes"
+        )
+    return ensemble
+
+
 def _cmd_simulate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     state = _mode_state_spec(cfg)
@@ -212,11 +225,11 @@ def _cmd_correlate(cfg: RunConfig, out: str) -> int:
         sde._resolve_state(params, state, cfg.n, cfg.direction),
         cfg.d_tau, cfg.record_stride, [0, lag_steps],
     )
-    sde.simulate(
+    _unclamped(sde.simulate(
         params, state, cfg.n, cfg.direction,
         d_tau=cfg.d_tau, steps=steps, count=cfg.count, seed=cfg.seed,
         record_stride=steps, observe=products,
-    )
+    ))
     estimates = [products.estimate(0), products.estimate(lag_steps)]
     rows = observables.correlator_report_rows(params, estimates)
     path = _write(cfg, out, "correlator.txt", observables.format_report(rows).splitlines())
@@ -237,11 +250,11 @@ def _cmd_fpe_check(cfg: RunConfig, out: str) -> int:
     drift = lambda x: mode_state.forward_drift_array(x)[0]
     evolved = fpe.evolve_fokker_planck(field, drift, mode_state.nu, cfg.d_tau, cfg.steps)
     rng_init = lambda rng, size: rng.normal(mean0, std0, size)
-    ensemble = sde.simulate(
+    ensemble = _unclamped(sde.simulate(
         params, state, cfg.n, cfg.direction, init=rng_init,
         d_tau=cfg.d_tau, steps=cfg.steps, count=cfg.count, seed=cfg.seed,
         record_stride=cfg.steps,
-    )
+    ))
     distance = fpe.l1_distance_to_samples(evolved, ensemble.sample_at(-1))
     body = [f"l1_distance = {distance!r}"]
     path = _write(cfg, out, "fpe_check.txt", body)
@@ -328,11 +341,11 @@ def _cmd_transport_check(cfg: RunConfig, out: str) -> int:
     mode_state = sde._resolve_state(params, state, cfg.n, cfg.direction)
     # binned inside the Euler loop: only the end points are stored
     bins = sde.transport_bins(mode_state, lambda x: x, cfg.d_tau)
-    sde.simulate(
+    _unclamped(sde.simulate(
         params, state, cfg.n, cfg.direction,
         d_tau=cfg.d_tau, steps=cfg.steps, count=cfg.count, seed=cfg.seed,
         record_stride=cfg.steps, observe=bins,
-    )
+    ))
     deviation = sde.transport_deviation(bins, mode_state, np.ones_like, np.zeros_like)
     body = [f"max_deviation = {deviation!r}"]
     path = _write(cfg, out, "transport.txt", body)

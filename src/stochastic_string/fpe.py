@@ -117,8 +117,19 @@ def gaussian_field(x_min: float, x_max: float, points: int, mean: float, std: fl
 def stationary_field(
     state: StationaryModeState, x_min: float, x_max: float, points: int
 ) -> GridField:
-    """GridField holding the analytic stationary (rho, S) of a mode state."""
+    """GridField holding the analytic stationary (rho, S) of a mode state.
+
+    An oscillator mode whose ground-state width sqrt(2 alpha'/n) is below the
+    grid spacing h is rejected: the grid cannot resolve its density.
+    """
     _check_grid(x_min, x_max, points)
+    h = (x_max - x_min) / (points - 1)
+    if state.n >= 1 and state.sigma < h:
+        raise ValidationError(
+            f"the mode n = {state.n} width sqrt(2 alpha'/n) = {state.sigma:.3g} at "
+            f"alpha_prime = {state.params.alpha_prime} is below the grid spacing h = {h:.3g} "
+            f"of points = {points} on [{x_min}, {x_max}]; raise points or alpha_prime"
+        )
     x = np.linspace(x_min, x_max, points)
     if state.n == 0:
         rho = np.full_like(x, 1.0 / (x_max - x_min))

@@ -3,22 +3,24 @@
 States are finite dictionaries over unnormalized basis kets
 |K> = prod (alpha_{-n,i})^{k_{n,i}} prod (b_j^dag)^{l_j} |0>, where the b_j
 are auxiliary unit oscillators of frequency ``lam`` representing the
-transverse zero modes x = (b + b^dag)/sqrt(2 lam), p = i sqrt(lam/2)
-(b^dag - b). In this basis every generator acts with rational matrix
-elements (alpha_{-n}|k> = |k+1>, alpha_n|k> = n k |k-1>), so sequential
-application of raw generator terms is exact and involves no reordering
-machinery at all. Comparing it with the application of a canonicalized
-OperatorExpr checks the Wick engine on concrete matrix elements.
-"""
+transverse zero-mode pair y = (b + b^dag)/sqrt(2 lam),
+alpha_0 = i sqrt(lam/2) (b^dag - b). In this basis every generator acts
+with rational matrix elements (alpha_{-n}|k> = |k+1>, alpha_n|k> =
+n k |k-1>), so sequential application of raw generator terms, token by
+token, is exact and involves no reordering machinery at all. Comparing it
+with the application of a canonicalized OperatorExpr (the same token
+action over its canonical words) checks the Wick engine on concrete
+matrix elements."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from stochastic_string.algebra.operators import OperatorExpr
-from stochastic_string.algebra.scalars import Coeff, ONE
+from stochastic_string.algebra.scalars import Coeff
 
 GF = tuple[Fraction, Fraction]
+ZERO_F, ONE_F = Fraction(0), Fraction(1)
 StateKey = tuple[tuple, tuple]
 
 VACUUM: StateKey = ((), ())
@@ -75,129 +77,82 @@ def _bump(pairs: tuple, index, delta: int) -> tuple:
     return tuple(sorted(d.items()))
 
 
-def _apply_token(token, key: StateKey, amp: GF, aux: AuxOscillator):
-    """Yield (key, amplitude) branches of one alpha-language generator."""
-    osc, zero = key
-    re, im = amp
-    kind = token[0]
-    if kind == "A":
-        n, i = token[1], token[2]
-        if n < 0:
-            yield (_bump(osc, (-n, i), 1), zero), amp
-        else:
-            k = dict(osc).get((n, i), 0)
-            if k:
-                w = Fraction(n * k)
-                yield (_bump(osc, (n, i), -1), zero), (re * w, im * w)
-    elif kind == "x":
-        i = token[1]
-        c = aux.x_scale
-        yield (osc, _bump(zero, i, 1)), (re * c, im * c)
-        l = dict(zero).get(i, 0)
-        if l:
-            w = c * l
-            yield (osc, _bump(zero, i, -1)), (re * w, im * w)
-    elif kind == "p":
-        i = token[1]
-        d = aux.p_scale
-        yield (osc, _bump(zero, i, 1)), (-im * d, re * d)
-        l = dict(zero).get(i, 0)
-        if l:
-            w = d * l
-            yield (osc, _bump(zero, i, -1)), (im * w, -re * w)
-    else:
-        raise ValueError(f"unknown alpha token {token!r}")
-
-
-def _apply_unit_token_branches(token, key: StateKey, aux: AuxOscillator):
-    """Branches of a unit-normalized OperatorExpr token, with Coeff weights."""
+def _token_branches(token, key: StateKey, aux: AuxOscillator):
+    """Yield (key, Gaussian weight) branches of one generator acting on a basis ket."""
     osc, zero = key
     kind = token[0]
     if kind == "c":
-        n, i = token[1], token[2]
-        yield (_bump(osc, (n, i), 1), zero), Coeff.sqrt(Fraction(1, n))
+        yield (_bump(osc, token[1:], 1), zero), (ONE_F, ZERO_F)
     elif kind == "a":
-        n, i = token[1], token[2]
-        k = dict(osc).get((n, i), 0)
+        k = dict(osc).get(token[1:], 0)
         if k:
-            yield (_bump(osc, (n, i), -1), zero), Coeff.sqrt(n).scale(k)
+            yield (_bump(osc, token[1:], -1), zero), (Fraction(token[1] * k), ZERO_F)
     elif kind == "x":
         i = token[1]
-        yield (osc, _bump(zero, i, 1)), Coeff.rational(aux.x_scale)
+        yield (osc, _bump(zero, i, 1)), (aux.x_scale, ZERO_F)
         l = dict(zero).get(i, 0)
         if l:
-            yield (osc, _bump(zero, i, -1)), Coeff.rational(aux.x_scale * l)
+            yield (osc, _bump(zero, i, -1)), (aux.x_scale * l, ZERO_F)
     elif kind == "p":
         i = token[1]
-        yield (osc, _bump(zero, i, 1)), Coeff.imaginary(aux.p_scale)
+        yield (osc, _bump(zero, i, 1)), (ZERO_F, aux.p_scale)
         l = dict(zero).get(i, 0)
         if l:
-            yield (osc, _bump(zero, i, -1)), Coeff.imaginary(-aux.p_scale * l)
+            yield (osc, _bump(zero, i, -1)), (ZERO_F, -aux.p_scale * l)
     else:
         raise ValueError(f"unknown token {token!r}")
+
+
+def _times(a: GF, b: GF) -> GF:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add_into(store: dict[StateKey, GF], key: StateKey, amp: GF) -> None:
+    re, im = store.get(key, (ZERO_F, ZERO_F))
+    store[key] = (re + amp[0], im + amp[1])
+
+
+def _nonzero(state: dict[StateKey, GF]) -> dict[StateKey, GF]:
+    return {k: v for k, v in state.items() if v[0] or v[1]}
 
 
 def apply_alpha_word(word, state: dict[StateKey, GF], aux: AuxOscillator) -> dict[StateKey, GF]:
     for token in reversed(word):
         nxt: dict[StateKey, GF] = {}
         for key, amp in state.items():
-            for new_key, new_amp in _apply_token(token, key, amp, aux):
-                cre, cim = nxt.get(new_key, (Fraction(0), Fraction(0)))
-                nxt[new_key] = (cre + new_amp[0], cim + new_amp[1])
-        state = {k: v for k, v in nxt.items() if v[0] or v[1]}
+            for new_key, weight in _token_branches(token, key, aux):
+                _add_into(nxt, new_key, _times(amp, weight))
+        state = _nonzero(nxt)
     return state
 
 
 def apply_alpha_terms(
     terms, state: dict[StateKey, GF], aux: AuxOscillator
 ) -> dict[StateKey, GF]:
-    """Apply sum of (Gaussian coefficient, alpha word) terms to a state."""
+    """Apply sum of (Gaussian coefficient, word) terms to a state, token by token."""
     out: dict[StateKey, GF] = {}
-    for (cre, cim), word in terms:
-        for key, (re, im) in apply_alpha_word(word, state, aux).items():
-            ore, oim = out.get(key, (Fraction(0), Fraction(0)))
-            out[key] = (ore + cre * re - cim * im, oim + cre * im + cim * re)
-    return {k: v for k, v in out.items() if v[0] or v[1]}
+    for coeff, word in terms:
+        for key, amp in apply_alpha_word(word, state, aux).items():
+            _add_into(out, key, _times(coeff, amp))
+    return _nonzero(out)
 
 
 def substitute_alpha_terms(terms) -> list[tuple[GF, tuple]]:
-    """Reduce radical-free coefficients to Gaussian rationals."""
-    numeric = []
-    for coeff, word in terms:
-        value = coeff.as_gaussian()
-        if value[0] or value[1]:
-            numeric.append((value, word))
-    return numeric
+    """Reduce (Coeff, word) terms to (Gaussian rational, word) terms."""
+    return [((coeff.re, coeff.im), word) for coeff, word in terms if not coeff.is_zero()]
 
 
 def apply_expr(
     expr: OperatorExpr, state: dict[StateKey, Coeff], aux: AuxOscillator
 ) -> dict[StateKey, Coeff]:
     """Apply a canonical OperatorExpr to a state with Coeff amplitudes."""
-    out: dict[StateKey, Coeff] = {}
-    for word, coeff in expr.terms.items():
-        partial = {key: ONE.scale(1) * amp for key, amp in state.items()}
-        for token in reversed(word):
-            nxt: dict[StateKey, Coeff] = {}
-            for key, amp in partial.items():
-                for new_key, weight in _apply_unit_token_branches(token, key, aux):
-                    acc = nxt.get(new_key)
-                    term = amp * weight
-                    nxt[new_key] = term if acc is None else acc + term
-            partial = {k: v for k, v in nxt.items() if not v.is_zero()}
-        for key, amp in partial.items():
-            total = amp * coeff
-            acc = out.get(key)
-            total = total if acc is None else acc + total
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    terms = substitute_alpha_terms((coeff, word) for word, coeff in expr.terms.items())
+    plain = {key: (amp.re, amp.im) for key, amp in state.items()}
+    return lift_gaussian_state(apply_alpha_terms(terms, plain, aux))
 
 
 def lift_gaussian_state(state: dict[StateKey, GF]) -> dict[StateKey, Coeff]:
-    return {key: Coeff({1: amp}) for key, amp in state.items()}
+    return {key: Coeff(*amp) for key, amp in state.items()}
 
 
 def states_equal(a: dict[StateKey, Coeff], b: dict[StateKey, Coeff]) -> bool:
@@ -214,14 +169,13 @@ def commutator_application(
     ba = apply_alpha_terms(terms_b, apply_alpha_terms(terms_a, state, aux), aux)
     out = dict(ab)
     for key, (re, im) in ba.items():
-        ore, oim = out.get(key, (Fraction(0), Fraction(0)))
-        out[key] = (ore - re, oim - im)
-    return {k: v for k, v in out.items() if v[0] or v[1]}
+        _add_into(out, key, (-re, -im))
+    return _nonzero(out)
 
 
 def dagger(expr: OperatorExpr) -> OperatorExpr:
     """Hermitian adjoint: each word reversed with a and c swapped, its
-    coefficient conjugated (sqrt radicals are real)."""
+    coefficient conjugated."""
     raw = []
     for word, coeff in expr.terms.items():
         flipped = tuple(
@@ -230,6 +184,5 @@ def dagger(expr: OperatorExpr) -> OperatorExpr:
             else t
             for t in reversed(word)
         )
-        conjugate = Coeff({r: (re, -im) for r, (re, im) in coeff.terms.items()})
-        raw.append((conjugate, flipped))
+        raw.append((Coeff(coeff.re, -coeff.im), flipped))
     return OperatorExpr.from_raw_terms(raw)

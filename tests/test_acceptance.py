@@ -25,7 +25,6 @@ from fock import (
     substitute_alpha_terms,
 )
 from stochastic_string.algebra.lorentz import (
-    exact_fraction,
     m_minus_alpha_terms,
     m_minus_expr,
 )
@@ -203,15 +202,14 @@ def test_criterion_07_critical_dimension():
         # and the symbolic commutator agrees entrywise with raw sequential
         # application of the generators on probe states
         aux = AuxOscillator(Fraction(2))
-        ap, pp = exact_fraction(0.5), exact_fraction(1)
         for dims, intercept in ((26, Fraction(1)), (25, Fraction(1)), (26, Fraction(0))):
             transverse, n_max = dims - 2, 2
             terms = [
-                m_minus_alpha_terms(i, transverse, n_max, ap, pp, intercept=intercept)
+                m_minus_alpha_terms(i, transverse, n_max, intercept=intercept)
                 for i in (1, 2)
             ]
             exprs = [
-                m_minus_expr(i, transverse, n_max, ap, pp, intercept=intercept)
+                m_minus_expr(i, transverse, n_max, intercept=intercept)
                 for i in (1, 2)
             ]
             comm = commutator(exprs[0], exprs[1])

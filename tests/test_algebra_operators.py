@@ -36,7 +36,7 @@ coefficients = st.sampled_from([
     Coeff.rational(1),
     Coeff.rational(Fraction(-3, 2)),
     Coeff.imaginary(2),
-    Coeff.sqrt(2),
+    Coeff(Fraction(2, 5), Fraction(-7, 4)),
     Coeff.rational(1) + Coeff.imaginary(Fraction(1, 3)),
 ])
 
@@ -55,6 +55,7 @@ def expr_from_word(word):
 
 def test_canonical_commutation():
     assert commutator(annihilation(1, 1), creation(1, 1)) == identity(1)
+    assert commutator(annihilation(2, 1), creation(2, 1)) == identity(2)
     assert commutator(annihilation(2, 1), creation(1, 1)).is_zero()
     assert commutator(annihilation(1, 1), creation(1, 2)).is_zero()
     assert commutator(position(1), momentum(1)) == identity(Coeff.imaginary(1))
@@ -68,12 +69,13 @@ def test_number_operator_raises():
 
 
 def test_wick_reordering_example():
-    # [a_2 a_1, ad_1 ad_2] = 1 + ad_1 a_1 + ad_2 a_2 (all direction 1)
+    # [alpha_2 alpha_1, alpha_-1 alpha_-2] = 2 + 2 alpha_-1 alpha_1 + alpha_-2 alpha_2
+    # (all direction 1)
     A = annihilation(2, 1) * annihilation(1, 1)
     B = creation(1, 1) * creation(2, 1)
     expected = (
-        identity(1)
-        + creation(1, 1) * annihilation(1, 1)
+        identity(2)
+        + (creation(1, 1) * annihilation(1, 1)).scale(2)
         + creation(2, 1) * annihilation(2, 1)
     )
     assert commutator(A, B) == expected
@@ -97,7 +99,7 @@ def test_wick_reordering_matches_state_application():
 def _sub(a, b):
     out = dict(a)
     for key, coeff in b.items():
-        total = out.get(key, Coeff.zero()) - coeff
+        total = out.get(key, Coeff()) - coeff
         if total.is_zero():
             out.pop(key, None)
         else:
@@ -242,7 +244,7 @@ def test_pruned_commutator_repeated_tokens():
     c11, a11 = ("c", 1, 1), ("a", 1, 1)
     a_sq = annihilation(1, 1) * annihilation(1, 1)
     c_sq = creation(1, 1) * creation(1, 1)
-    full = commutator(a_sq, c_sq)  # [a^2, ad^2] = 4 ad a + 2
+    full = commutator(a_sq, c_sq)  # [alpha_1^2, alpha_-1^2] = 4 alpha_-1 alpha_1 + 2
     assert full == (creation(1, 1) * annihilation(1, 1)).scale(4) + identity(2)
     for wanted in ({(c11, a11)}, {()}, {(c11, c11, a11, a11)}, {(c11, a11), (), (c11, c11)}):
         assert commutator(a_sq, c_sq, words=wanted) == restrict(full, wanted)

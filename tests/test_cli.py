@@ -260,7 +260,6 @@ def test_anomaly_decimal_alpha_prime(tmp_path):
     from stochastic_string.algebra.lorentz import exact_fraction
 
     assert exact_fraction(0.37) == Fraction(37, 100)
-    # 2 alpha' = 1000003 is prime: products of two sqrt(2 alpha') must not factor its square
     for alpha_prime in ("0.37", "0.3", "0.123456", "1e-3", "500001.5"):
         with _deadline(10):
             code = run(["anomaly", "--m", "1", "--alpha-prime", alpha_prime,
@@ -269,12 +268,15 @@ def test_anomaly_decimal_alpha_prime(tmp_path):
         assert "Delta_1(D, a) = 2 + -2*a" in (tmp_path / "anomaly.txt").read_text()
 
 
-def test_anomaly_alpha_prime_too_long_to_factor(tmp_path, capsys):
-    with _deadline(10):
-        code = run(["anomaly", "--m", "1", "--alpha-prime", "0.1234567891234567",
-                    "--out", str(tmp_path), "--no-timestamp"])
-    assert code == EXIT_VALIDATION
-    assert "alpha_prime = 0.1234567891234567" in capsys.readouterr().err
+def test_anomaly_reads_no_alpha_prime(tmp_path):
+    # the generators are built in alpha-normalized oscillators: neither alpha'
+    # nor p+ enters, however many digits they have
+    for scale in (["--alpha-prime", "0.1234567891234567"],
+                  ["--alpha-prime", "1e200", "--p-plus", "1e-200"]):
+        with _deadline(10):
+            code = run(["anomaly", "--m", "1", *scale, "--out", str(tmp_path), "--no-timestamp"])
+        assert code == EXIT_OK
+        assert "Delta_1(D, a) = 2 + -2*a" in (tmp_path / "anomaly.txt").read_text()
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -494,6 +496,12 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     # standard error is inf or 0 and no z-score means anything
     (["correlate", "--alpha-prime", "1e200", "-M", "5"], EXIT_NUMERICAL),
     (["correlate", "--alpha-prime", "1e-200", "-M", "5"], EXIT_NUMERICAL),
+    # the ground-state width sqrt(2 alpha') is far below the grid spacing 0.3
+    (["bracket-check", "--alpha-prime", "1e-300", "--points", "41"], EXIT_VALIDATION),
+    (["madelung-check", "--alpha-prime", "1e-300", "--points", "41"], EXIT_VALIDATION),
+    # the drift -q of amplitudes sqrt(2 alpha') ~ 1e75 is clamped at every step
+    (["correlate", "--alpha-prime", "1e150", "-M", "5"], EXIT_NUMERICAL),
+    (["transport-check", "--alpha-prime", "1e150", "-M", "200", "--steps", "5"], EXIT_NUMERICAL),
 ], ids=lambda v: "-".join(v[:3:2]) if isinstance(v, list) else f"exit{v}")
 def test_alpha_prime_past_float_range_exit_code(tmp_path, capsys, argv, expected):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -502,6 +510,20 @@ def test_alpha_prime_past_float_range_exit_code(tmp_path, capsys, argv, expected
     assert "alpha_prime" in captured.err
     assert "wrote" not in captured.out
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("points, expected", [(33, EXIT_OK), (32, EXIT_VALIDATION)])
+def test_width_against_grid_spacing(tmp_path, capsys, points, expected):
+    # n = 1 at alpha' = 1/8 has width sqrt(2 alpha') = 1/2, the spacing of 33
+    # points on [-8, 8], where the bracket is still exact to six digits
+    code = run(["bracket-check", "--alpha-prime", "0.125", "--x-min", "-8", "--x-max", "8",
+                "--points", str(points), "--out", str(tmp_path), "--no-timestamp"])
+    assert code == expected
+    captured = capsys.readouterr()
+    if expected == EXIT_OK:
+        assert "{<x>,<p>}_s = 1.000000" in captured.out
+    else:
+        assert "alpha_prime = 0.125" in captured.err and "points = 32" in captured.err
 
 
 _EDGE_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "5e-324", "-0.0", "0"]

@@ -41,7 +41,6 @@ UNREACHED = {
     ("sde.py", "NonFiniteSampleError.__init__"): "error-path",
     ("algebra/lorentz.py", "anomaly_report"): "reference",
     ("algebra/operators.py", "OperatorExpr.__sub__"): "reference",
-    ("algebra/operators.py", "OperatorExpr.scale"): "reference",
     ("algebra/operators.py", "OperatorExpr.__mul__"): "reference",
     ("algebra/operators.py", "OperatorExpr.__eq__"): "reference",
     ("algebra/operators.py", "OperatorExpr.is_zero"): "reference",
