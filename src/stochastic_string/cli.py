@@ -1,8 +1,8 @@
 """Batch front-end: subcommands orchestrating the engine modules.
 
 Every subcommand takes ``--config FILE``, ``--out DIR``, ``--no-timestamp``
-and the five common fields (``alpha_prime``, ``dims``, ``mode_cutoff``,
-``p_plus``, ``seed``), plus the RunConfig fields listed in its
+and the four common fields (``alpha_prime``, ``dims``, ``mode_cutoff``,
+``seed``), plus the RunConfig fields listed in its
 ``_COMMANDS`` row. A field's flag is its name with dashes (``--d-tau``);
 ``-M`` is ``--count``. Every run writes columnar text artifacts whose
 header embeds the full run configuration as ``# key = value`` lines;
@@ -33,7 +33,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 # the fields a --config file may set, each also a flag of every subcommand
-CONFIG_KEYS = ("alpha_prime", "dims", "mode_cutoff", "p_plus", "seed")
+CONFIG_KEYS = ("alpha_prime", "dims", "mode_cutoff", "seed")
 # text -> value for each RunConfig field type: argparse values, config files and header lines
 _FROM_TEXT = {"int": int, "float": float, "str": str, "bool": "True".__eq__}
 
@@ -46,7 +46,6 @@ class RunConfig:
     alpha_prime: float = 0.5
     dims: int = 26
     mode_cutoff: int = 4
-    p_plus: float = 1.0
     seed: int = 0
     count: int = 10000
     d_tau: float = 1.0e-3
@@ -270,8 +269,8 @@ def _cmd_madelung_check(cfg: RunConfig, out: str) -> int:
     mode_state = sde._resolve_state(params, _mode_state_spec(cfg), cfg.n, cfg.direction)
     field = fpe.stationary_field(mode_state, cfg.x_min, cfg.x_max, cfg.points)
     energy = mode_state.energy() + cfg.energy_offset
-    result = fpe.madelung_residual(field, params, mode_state, energy=energy)
-    continuity = fpe.continuity_residual(field, params, cfg.n)
+    result = fpe.madelung_residual(field, mode_state, energy=energy)
+    continuity = fpe.continuity_residual(field, mode_state)
     body = [
         f"madelung_residual = {result.max_residual!r}",
         f"node_window_residual = {result.node_window_residual!r}",
@@ -353,7 +352,7 @@ def _cmd_transport_check(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-# name: (handler, help, RunConfig fields settable beyond the common five)
+# name: (handler, help, RunConfig fields settable beyond the common four)
 _COMMANDS = {
     "simulate": (_cmd_simulate, "run a mode-amplitude ensemble",
                  "n direction k momentum count d_tau steps record_stride init"),

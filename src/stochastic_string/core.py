@@ -39,15 +39,11 @@ class StringParams:
         directions.
     mode_cutoff : int
         Largest retained oscillator mode N_max >= 1.
-    p_plus : float
-        Light-cone momentum. Only rescales Lorentz generators; it never
-        affects whether the anomaly vanishes. Defaults to 1.
     """
 
     alpha_prime: float
     dims: int = 26
     mode_cutoff: int = 4
-    p_plus: float = 1.0
 
     @property
     def transverse_count(self) -> int:
@@ -82,8 +78,6 @@ def validate(params: StringParams) -> list[str]:
         )
     if params.mode_cutoff < 1:
         errors.append(f"mode_cutoff must be >= 1, got {params.mode_cutoff}")
-    if not 0 < params.p_plus < math.inf:
-        errors.append(f"p_plus must be finite and positive, got {params.p_plus}")
     return errors
 
 

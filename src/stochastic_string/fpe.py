@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import MAX_FLOATS, StringParams, ValidationError, write_artifact
+from .core import MAX_FLOATS, ValidationError, write_artifact
 from .drift import StationaryModeState
 
 # sub-steps one evolve_fokker_planck call may take: 45 times the most any
@@ -241,8 +241,9 @@ def evolve_fokker_planck(
     substeps = tau * (nu / h**2) * out_rate.max() / 0.8
     if not substeps <= _MAX_SUBSTEPS:
         raise ValidationError(
-            f"horizon d_tau * steps = {d_tau} * {steps} needs {substeps:.3g} sub-steps on this "
-            f"grid, over the budget of {_MAX_SUBSTEPS}; lower d_tau or steps"
+            f"horizon d_tau * steps = {d_tau} * {steps} needs {substeps:.3g} sub-steps, over "
+            f"the budget of {_MAX_SUBSTEPS}: they grow as nu = {nu:.3g} (alpha_prime) over h^2 "
+            f"(points = {field.points}); lower d_tau, steps, alpha_prime or points"
         )
     substeps = math.ceil(substeps)
     scale = (tau / max(substeps, 1)) * nu / h**2
@@ -271,15 +272,14 @@ def evolve_fokker_planck(
     return replace(field, rho=rho)
 
 
-def continuity_residual(field: GridField, params: StringParams, n: int) -> float:
-    """Max-norm of d(rho v)/dx with v = 2 nu_n S'.
+def continuity_residual(field: GridField, state: StationaryModeState) -> float:
+    """Max-norm of d(rho v)/dx with v = 2 nu_n S', nu_n the diffusion of ``state``'s mode.
 
     A stationary Madelung pair satisfies the continuity equation with
     d_tau rho = 0, so this must vanish to O(h^2) for exact inputs.
     """
-    nu = params.diffusion(n)
     h = field.h
-    v = 2.0 * nu * np.gradient(field.S, h)
+    v = 2.0 * state.nu * np.gradient(field.S, h)
     flux = field.rho * v
     divergence = np.gradient(flux, h)[1:-1]
     return float(np.max(np.abs(divergence)))
@@ -293,10 +293,7 @@ class MadelungResult:
 
 
 def madelung_residual(
-    field: GridField,
-    params: StringParams,
-    state: StationaryModeState,
-    energy: float | None = None,
+    field: GridField, state: StationaryModeState, energy: float | None = None
 ) -> MadelungResult:
     """Residual of the single-mode Madelung equation on the interior grid.
 
@@ -311,7 +308,7 @@ def madelung_residual(
         raise ValidationError("Madelung residual targets n >= 1 modes")
     if energy is None:
         energy = state.energy()
-    ap = params.alpha_prime
+    ap = state.params.alpha_prime
     h = field.h
     # Two equivalent second-order discretizations of the osmotic term
     # (R')^2 + R'' == sqrt(rho)''/sqrt(rho): the log form is exact for

@@ -144,9 +144,9 @@ def test_criterion_05_madelung_continuity_residuals():
             for k in (0, 1, 2):
                 state = StationaryModeState(PARAMS, n, k)
                 field = fpe.stationary_field(state, -6.0, 6.0, 2001)
-                residual = fpe.madelung_residual(field, PARAMS, state).max_residual
+                residual = fpe.madelung_residual(field, state).max_residual
                 assert residual < 1e-3, f"madelung residual {residual} at n={n} k={k}"
-                assert fpe.continuity_residual(field, PARAMS, n) < 1e-3
+                assert fpe.continuity_residual(field, state) < 1e-3
 
         # wrong-energy control: the offset reappears as the residual
         state = StationaryModeState(PARAMS, 1, 0)
@@ -154,7 +154,7 @@ def test_criterion_05_madelung_continuity_residuals():
         h2 = field.h**2
         offset = 0.1
         residual = fpe.madelung_residual(
-            field, PARAMS, state, energy=state.energy() + offset
+            field, state, energy=state.energy() + offset
         ).max_residual
         assert abs(residual - offset) < 100 * h2
 

@@ -144,11 +144,9 @@ def test_anomaly_mode_three():
     assert d3.coefficient(0, 0) == Fraction(58, 9)
 
 
-def test_anomaly_independent_of_alpha_prime_and_p_plus():
+def test_anomaly_independent_of_alpha_prime():
     base = anomaly_coefficient(1, StringParams(alpha_prime=0.5, mode_cutoff=2))
-    other = anomaly_coefficient(
-        1, StringParams(alpha_prime=2.0, mode_cutoff=2, p_plus=3.0)
-    )
+    other = anomaly_coefficient(1, StringParams(alpha_prime=2.0, mode_cutoff=2))
     assert base == other
 
 

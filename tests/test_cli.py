@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from stochastic_string.algebra.lorentz import MAX_ANOMALY_MODE
 from stochastic_string.cli import (
     _COMMANDS, CONFIG_KEYS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RunConfig,
     _bind_negative_values, _build_parser, _merge_config, run,
@@ -19,8 +20,8 @@ from stochastic_string.drift import StationaryModeState
 from stochastic_string.observables import MAX_LEVEL
 
 _COMMON = {
-    "-h", "--help", "--config", "--alpha-prime", "--dims", "--mode-cutoff", "--p-plus",
-    "--seed", "--out", "--no-timestamp",
+    "-h", "--help", "--config", "--alpha-prime", "--dims", "--mode-cutoff", "--seed", "--out",
+    "--no-timestamp",
 }
 # each subcommand's option strings, as the hand-written parser had them
 _OPTIONS = {
@@ -269,14 +270,25 @@ def test_anomaly_decimal_alpha_prime(tmp_path):
 
 
 def test_anomaly_reads_no_alpha_prime(tmp_path):
-    # the generators are built in alpha-normalized oscillators: neither alpha'
-    # nor p+ enters, however many digits they have
-    for scale in (["--alpha-prime", "0.1234567891234567"],
-                  ["--alpha-prime", "1e200", "--p-plus", "1e-200"]):
+    # the generators are built in alpha-normalized oscillators: alpha' does
+    # not enter, however many digits it has
+    for alpha_prime in ("0.1234567891234567", "1e200"):
         with _deadline(10):
-            code = run(["anomaly", "--m", "1", *scale, "--out", str(tmp_path), "--no-timestamp"])
+            code = run(["anomaly", "--m", "1", "--alpha-prime", alpha_prime,
+                        "--out", str(tmp_path), "--no-timestamp"])
         assert code == EXIT_OK
         assert "Delta_1(D, a) = 2 + -2*a" in (tmp_path / "anomaly.txt").read_text()
+
+
+def test_anomaly_mode_bound_exit_code(tmp_path, capsys):
+    # m is bounded before any generator is built: the time grows as about m^2
+    m = MAX_ANOMALY_MODE + 1
+    with _deadline(2):
+        code = run(["anomaly", "--m", str(m), "--mode-cutoff", str(2 * m),
+                    "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"must be <= {MAX_ANOMALY_MODE}" in err and f"got m = {m}" in err
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -453,9 +465,10 @@ def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("argv, name", [
     (["simulate", "--alpha-prime", "inf", "-M", "5", "--steps", "5"], "alpha_prime"),
-    (["simulate", "--p-plus", "inf", "-M", "5", "--steps", "5"], "p_plus"),
+    # p+ fixes the gauge x+ = p+ tau and no computation reads it: no flag sets it
+    (["simulate", "--p-plus", "1", "-M", "5", "--steps", "5"], "unrecognized arguments: --p-plus"),
     (["anomaly", "--alpha-prime", "inf"], "alpha_prime"),
-    (["anomaly", "--p-plus", "inf"], "p_plus"),
+    (["anomaly", "--p-plus", "1"], "unrecognized arguments: --p-plus"),
     (["anomaly", "--intercept", "inf"], "intercept"),
     (["anomaly", "--intercept", "nan"], "intercept"),
     (["bracket-check", "--x-min", "nan"], "x_min"),
@@ -502,6 +515,8 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys, argv, name):
     # the drift -q of amplitudes sqrt(2 alpha') ~ 1e75 is clamped at every step
     (["correlate", "--alpha-prime", "1e150", "-M", "5"], EXIT_NUMERICAL),
     (["transport-check", "--alpha-prime", "1e150", "-M", "200", "--steps", "5"], EXIT_NUMERICAL),
+    # the Fokker-Planck sub-step count grows as the diffusion 2 alpha' over h^2
+    (["fpe-check", "--alpha-prime", "1e150", "-M", "5", "--steps", "5"], EXIT_VALIDATION),
 ], ids=lambda v: "-".join(v[:3:2]) if isinstance(v, list) else f"exit{v}")
 def test_alpha_prime_past_float_range_exit_code(tmp_path, capsys, argv, expected):
     code = run([*argv, "--out", str(tmp_path), "--no-timestamp"])
@@ -651,6 +666,20 @@ def test_bracket_check(tmp_path, capsys):
     assert "1.000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--x-min", "0"], ["--alpha-prime", "100", "--points", "41"],
+    ["--alpha-prime", "1", "--points", "41"],
+], ids=lambda v: "-".join(v[:2]))
+def test_bracket_density_at_grid_end_exit_code(tmp_path, capsys, argv):
+    # the bracket drops the end terms [rho dS]: these grids end where the
+    # density is 1, 0.91 and 1.2e-4 of its peak, and read 0.5, 0.019 and 0.99956
+    code = run(["bracket-check", *argv, "--out", str(tmp_path), "--no-timestamp"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "x_min" in err and "x_max" in err and "alpha_prime" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("alpha_prime = 0.5\ndims = 10\nmode_cutoff = 2\nseed = 4\n")
@@ -668,12 +697,12 @@ def test_config_file_and_flag_override(tmp_path):
 def test_config_file_sets_every_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "# comment\nalpha_prime = 0.25\n\ndims = 10\nmode_cutoff = 3\np_plus = 2.0\nseed = 99\n"
+        "# comment\nalpha_prime = 0.25\n\ndims = 10\nmode_cutoff = 3\nseed = 99\n"
     )
     assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path),
                 "--no-timestamp"]) == EXIT_OK
     read = RunConfig.from_header(tmp_path / "spectrum.txt")
-    assert read.params() == StringParams(alpha_prime=0.25, dims=10, mode_cutoff=3, p_plus=2.0)
+    assert read.params() == StringParams(alpha_prime=0.25, dims=10, mode_cutoff=3)
     assert read.seed == 99
 
 
@@ -683,8 +712,9 @@ def test_config_file_sets_every_key(tmp_path):
     ("seed = 1e3\n", "config line 1: seed = '1e3' is not a valid int"),
     ("dims = 26\nalpha_prime = x\n", "config line 2: alpha_prime = 'x' is not a valid float"),
     ("alpha_prime = -2\n", "alpha_prime must be finite and positive, got -2.0"),
+    ("dims = 26\np_plus = 1.0\n", "config line 2: unknown key 'p_plus'"),
 ], ids=["unknown-key", "malformed-line", "seed-not-int", "alpha-prime-not-float",
-        "alpha-prime-negative"])
+        "alpha-prime-negative", "retired-p-plus"])
 def test_bad_config_file_exit_code(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -736,6 +766,22 @@ def test_header_with_retired_grid_d_tau_line(tmp_path):
     path.write_text(old)
     assert RunConfig.from_header(path) == cfg
     assert cfg.command == "fpe-check" and cfg.steps == 5 and cfg.count == 200
+
+
+def test_header_with_retired_p_plus_line(tmp_path):
+    # artifacts written while p+ was a setting carry a config.p_plus line;
+    # the config read from them reruns to the same artifact without it
+    assert run(["bracket-check", "--points", "201", "--out", str(tmp_path),
+                "--no-timestamp"]) == EXIT_OK
+    text = (tmp_path / "bracket.txt").read_text()
+    old = text.replace("# config.seed = ", "# config.p_plus = 1.0\n# config.seed = ")
+    assert old != text
+    (tmp_path / "old.txt").write_text(old)
+    cfg = RunConfig.from_header(tmp_path / "old.txt")
+    assert cfg == RunConfig.from_header(tmp_path / "bracket.txt")
+    rerun = tmp_path / "rerun"
+    assert _COMMANDS[cfg.command][0](cfg, str(rerun)) == EXIT_OK
+    assert (rerun / "bracket.txt").read_text() == text
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

@@ -32,8 +32,8 @@ def test_validate_ok():
 
 
 def test_validate_reports_every_violation():
-    errors = validate(StringParams(alpha_prime=-1.0, dims=2, mode_cutoff=0, p_plus=-3))
-    assert len(errors) == 4
+    errors = validate(StringParams(alpha_prime=-1.0, dims=2, mode_cutoff=0))
+    assert len(errors) == 3
     assert any("alpha_prime" in e for e in errors)
     assert any("transverse" in e for e in errors)
 

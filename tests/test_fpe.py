@@ -89,13 +89,13 @@ def test_drift_must_be_finite():
 def test_continuity_residual_stationary(params):
     state = StationaryModeState(params, 1, 0)
     field = stationary_field(state, -6, 6, 2001)
-    assert continuity_residual(field, params, 1) < 1e-4
+    assert continuity_residual(field, state) < 1e-4
 
 
 def test_continuity_residual_uniform_flux(params):
     x = np.linspace(-6, 6, 1001)
     field = GridField(-6, 6, np.full_like(x, 1 / 12), 3.0 * x)
-    assert continuity_residual(field, params, 0) < 1e-10
+    assert continuity_residual(field, StationaryModeState(params, 0)) < 1e-10
 
 
 def test_continuity_residual_detects_perturbation(params):
@@ -103,7 +103,7 @@ def test_continuity_residual_detects_perturbation(params):
     x = np.linspace(-6, 6, 1001)
     rho = (1 + 0.1 * np.sin(x)) / 12.0
     field = GridField(-6, 6, rho, 3.0 * x)
-    assert continuity_residual(field, params, 0) > 1e-3
+    assert continuity_residual(field, StationaryModeState(params, 0)) > 1e-3
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -111,26 +111,26 @@ def test_continuity_residual_detects_perturbation(params):
 def test_madelung_residual_stationary_states(params, n, k):
     state = StationaryModeState(params, n, k)
     field = stationary_field(state, -6, 6, 2001)
-    assert madelung_residual(field, params, state).max_residual < 1e-3
+    assert madelung_residual(field, state).max_residual < 1e-3
 
 
 def test_madelung_residual_ground_state_tight(params):
     state = StationaryModeState(params, 1, 0)
     field = stationary_field(state, -6, 6, 2001)
-    assert madelung_residual(field, params, state).max_residual < 1e-4
+    assert madelung_residual(field, state).max_residual < 1e-4
 
 
 def test_madelung_wrong_energy_offset(params):
     state = StationaryModeState(params, 1, 0)
     field = stationary_field(state, -6, 6, 2001)
-    residual = madelung_residual(field, params, state, energy=state.energy() + 0.1).max_residual
+    residual = madelung_residual(field, state, energy=state.energy() + 0.1).max_residual
     assert residual == pytest.approx(0.1, abs=1e-3)
 
 
 def test_madelung_node_window_reported(params):
     state = StationaryModeState(params, 2, 1)
     field = stationary_field(state, -6, 6, 2001)
-    result = madelung_residual(field, params, state)
+    result = madelung_residual(field, state)
     assert result.excluded_points > 0
     assert result.max_residual < 1e-3
 
@@ -139,7 +139,7 @@ def test_madelung_zero_mode_rejected(params):
     state = StationaryModeState(params, 0, momentum=1.0)
     field = stationary_field(state, -6, 6, 101)
     with pytest.raises(ValidationError):
-        madelung_residual(field, params, StationaryModeState(params, 0, momentum=1.0))
+        madelung_residual(field, state)
 
 
 def test_node_windows_covering_the_grid_name_points(params):
@@ -147,7 +147,7 @@ def test_node_windows_covering_the_grid_name_points(params):
     state = StationaryModeState(params, 1, 12)
     field = stationary_field(state, -6, 6, 101)
     with pytest.raises(ValidationError, match="points = 101"):
-        madelung_residual(field, params, state)
+        madelung_residual(field, state)
 
 
 def test_l1_distance_statistics(params):

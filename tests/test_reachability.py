@@ -11,7 +11,9 @@ header back with ``RunConfig.from_header``. An ``ast`` walk of ``src/`` lists
 the functions defined; the ones never called must be exactly ``UNREACHED``.
 A function that no command reaches any more fails the test until it is
 deleted or listed, and a listed one that a command now reaches fails it
-until it is unlisted.
+until it is unlisted. The same walk finds the settings nothing uses: every
+field of ``RunConfig`` and ``StringParams`` must be read by name somewhere
+outside ``core.validate``.
 """
 
 import ast
@@ -19,7 +21,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from stochastic_string.cli import RunConfig
+from stochastic_string.core import StringParams
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stochastic_string"
 
@@ -101,23 +107,29 @@ threading.setprofile(None)
 """
 
 
-def _defined() -> set[tuple[str, str]]:
-    """(module path, ``co_qualname``) of every function defined under ``src/``."""
-    found = set()
-
+def _walk():
+    """(module path, qualified-name prefix, node) for every ``ast`` node under
+    ``src/``; a function's ``co_qualname`` is its prefix and its name."""
     def walk(node, module, prefix):
         for child in ast.iter_child_nodes(node):
+            yield module, prefix, child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.add((module, prefix + child.name))
-                walk(child, module, f"{prefix}{child.name}.<locals>.")
+                yield from walk(child, module, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                walk(child, module, f"{prefix}{child.name}.")
+                yield from walk(child, module, f"{prefix}{child.name}.")
             else:
-                walk(child, module, prefix)
+                yield from walk(child, module, prefix)
 
     for path in PACKAGE.rglob("*.py"):
-        walk(ast.parse(path.read_text()), path.relative_to(PACKAGE).as_posix(), "")
-    return found
+        yield from walk(ast.parse(path.read_text()), path.relative_to(PACKAGE).as_posix(), "")
+
+
+def _defined() -> set[tuple[str, str]]:
+    """(module path, ``co_qualname``) of every function defined under ``src/``."""
+    return {
+        (module, prefix + node.name) for module, prefix, node in _walk()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
 
 
 def test_every_function_reached_or_listed(tmp_path):
@@ -132,3 +144,16 @@ def test_every_function_reached_or_listed(tmp_path):
     never_called = defined - {tuple(r) for r in record["reached"]}
     assert sorted(never_called - set(UNREACHED)) == [], "reached by no command: delete or list"
     assert sorted(set(UNREACHED) - never_called) == [], "reached by a command: unlist"
+
+
+def test_every_setting_read_by_name():
+    # a RunConfig or StringParams field that no code reads as x.field, apart
+    # from core.validate checking it, is a setting nothing uses; generic
+    # getattr(obj, f.name) loops over the fields do not count as a read
+    read = {
+        node.attr for module, prefix, node in _walk()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and (module, prefix.partition(".")[0]) != ("core.py", "validate")
+    }
+    settings = {f.name for cls in (RunConfig, StringParams) for f in fields(cls)}
+    assert sorted(settings - read) == [], "read by no code: delete the setting"
