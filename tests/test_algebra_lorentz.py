@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -144,10 +145,12 @@ def test_anomaly_mode_three():
     assert d3.coefficient(0, 0) == Fraction(58, 9)
 
 
-def test_anomaly_independent_of_alpha_prime():
+def test_anomaly_independent_of_alpha_prime_and_p_plus():
     base = anomaly_coefficient(1, StringParams(alpha_prime=0.5, mode_cutoff=2))
     other = anomaly_coefficient(1, StringParams(alpha_prime=2.0, mode_cutoff=2))
     assert base == other
+    # E^i = sqrt(2 alpha') p+ M^{i-}: p+ is no parameter the anomaly could read
+    assert "p_plus" not in {f.name for f in fields(StringParams)}
 
 
 def test_anomaly_truncation_guard():

@@ -465,10 +465,13 @@ def test_out_of_memory_names_only_the_commands_flags(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("argv, name", [
     (["simulate", "--alpha-prime", "inf", "-M", "5", "--steps", "5"], "alpha_prime"),
-    # p+ fixes the gauge x+ = p+ tau and no computation reads it: no flag sets it
-    (["simulate", "--p-plus", "1", "-M", "5", "--steps", "5"], "unrecognized arguments: --p-plus"),
+    # p+ fixes the gauge x+ = p+ tau and no computation reads it: no flag sets
+    # it, so a finite or a non-finite --p-plus is refused as an unknown argument
+    pytest.param(["simulate", "--p-plus", "1", "-M", "5", "--steps", "5"],
+                 "unrecognized arguments: --p-plus", id="argv1-p_plus"),
     (["anomaly", "--alpha-prime", "inf"], "alpha_prime"),
-    (["anomaly", "--p-plus", "1"], "unrecognized arguments: --p-plus"),
+    pytest.param(["anomaly", "--p-plus", "inf"], "unrecognized arguments: --p-plus inf",
+                 id="argv3-p_plus"),
     (["anomaly", "--intercept", "inf"], "intercept"),
     (["anomaly", "--intercept", "nan"], "intercept"),
     (["bracket-check", "--x-min", "nan"], "x_min"),
