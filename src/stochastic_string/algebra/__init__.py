@@ -17,11 +17,10 @@ from .operators import (
     momentum,
     position,
 )
-from .scalars import Coeff, PolyDA, solve_affine_system
+from .scalars import PolyDA, solve_affine_system
 
 __all__ = [
     "AlgebraConsistencyError",
-    "Coeff",
     "OperatorExpr",
     "PolyDA",
     "annihilation",

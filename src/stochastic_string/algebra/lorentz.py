@@ -6,23 +6,29 @@ and alpha_0 = (2 alpha')^(1/2) p (so [y, alpha_0] = i), the rescaled generator
         = (y^i L_0 + L_0 y^i)/2 - a y^i
           - i sum_{n>=1} (1/n) (alpha^i_{-n} L_n - L_{-n} alpha^i_n),
 with the transverse Virasoro generators L_n = 1/2 sum_m :alpha_{n-m} . alpha_m:,
-has Gaussian-rational coefficients only, and neither alpha' nor p^+
-appears: the light-cone form of Goddard, Goldstone, Rebbi & Thorn,
-Nucl. Phys. B56, 109 (1973), in the gauge x^+ = p^+ tau. The x0^- p^i
-zero-mode term is omitted: it cannot be expressed with the transverse
-alphabet and contributes no pure-oscillator bilinear to [E^1, E^2], so
-the anomaly extraction below is unaffected.
+involves neither alpha' nor p^+: the light-cone form of Goddard,
+Goldstone, Rebbi & Thorn, Nucl. Phys. B56, 109 (1973), in the gauge
+x^+ = p^+ tau. In the Euclidean zero-mode position yhat = -i y, for which
+[yhat, alpha_0] = 1, it reads E^i = i Et^i with
+    Et^i = (yhat^i L_0 + L_0 yhat^i)/2 - a yhat^i
+           - sum_{n>=1} (1/n) (alpha^i_{-n} L_n - L_{-n} alpha^i_n),
+whose coefficients are all rational; Et^i is what is built here. The
+x0^- p^i zero-mode term is omitted: it cannot be expressed with the
+transverse alphabet and contributes no pure-oscillator bilinear to
+[E^1, E^2], so the anomaly extraction below is unaffected.
 
-[E^1, E^2] = -sum_m Delta_m (alpha^1_{-m} alpha^2_m - alpha^2_{-m} alpha^1_m),
-so Delta_m is independent of alpha' and p^+ by construction. The
-intercept a enters only as E^i = E0^i - a y^i, with E0 built at a = 0.
-As [y^1, y^2] = 0, Delta_m is read from [E0^1, E0^2] + a ([-y^1, E0^2] +
-[E0^1, -y^2]): affine in a by construction, and an exact rational
-polynomial in a and the spacetime dimension D. Internally the transverse
-trace is evaluated at several concrete direction counts and the
-(provably affine) dependence on D - 2 is reconstructed by exact
-interpolation, then cross-checked against a direct evaluation at the
-physical direction count.
+[E^1, E^2] = -[Et^1, Et^2]
+           = -sum_m Delta_m (alpha^1_{-m} alpha^2_m - alpha^2_{-m} alpha^1_m),
+so Delta_m, the coefficient of alpha^1_{-m} alpha^2_m in [Et^1, Et^2], is
+independent of alpha' and p^+ by construction. The intercept a enters
+only as Et^i = Et0^i - a yhat^i, with Et0 built at a = 0. As
+[yhat^1, yhat^2] = 0, Delta_m is read from [Et0^1, Et0^2] +
+a ([-yhat^1, Et0^2] + [Et0^1, -yhat^2]): affine in a by construction, and
+an exact rational polynomial in a and the spacetime dimension D.
+Internally the transverse trace is evaluated at several concrete
+direction counts and the (provably affine) dependence on D - 2 is
+reconstructed by exact interpolation, then cross-checked against a
+direct evaluation at the physical direction count.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from functools import lru_cache
 
 from ..core import StringParams, ValidationError
 from .operators import OperatorExpr, commutator, position
-from .scalars import Coeff, PolyDA, exact_fraction, solve_affine_system
+from .scalars import PolyDA, exact_fraction, solve_affine_system
 
-AlphaTerm = tuple[Coeff, tuple]
+AlphaTerm = tuple[Fraction, tuple]
 
-_HALF = Coeff.rational(Fraction(1, 2))
+_HALF = Fraction(1, 2)
 
 # largest mode m: the time grows as about m^2, 1.3 s at m = 20 on a 2-vCPU VM
 MAX_ANOMALY_MODE = 20
@@ -67,16 +73,16 @@ def virasoro_alpha_terms(n: int, transverse: int, n_max: int) -> list[AlphaTerm]
 def m_minus_alpha_terms(
     i: int, transverse: int, n_max: int, intercept: Fraction
 ) -> list[AlphaTerm]:
-    """E^i = (2 alpha')^(1/2) p^+ M^{i-} at a numeric ``intercept`` as raw terms."""
+    """Et^i = -i (2 alpha')^(1/2) p^+ M^{i-} at a numeric ``intercept`` as raw terms."""
     y = ("x", i)
     terms = [
         (_HALF * c, word)
         for c, w in virasoro_alpha_terms(0, transverse, n_max)
         for word in ((y,) + w, w + (y,))
     ]
-    terms.append((Coeff.rational(-intercept), (y,)))
+    terms.append((-intercept, (y,)))
     for n in range(1, n_max + 1):
-        front, back = Coeff.imaginary(Fraction(-1, n)), Coeff.imaginary(Fraction(1, n))
+        front, back = Fraction(-1, n), Fraction(1, n)
         terms += [(front * c, (_alpha(-n, i),) + w)
                   for c, w in virasoro_alpha_terms(n, transverse, n_max)]
         terms += [(back * c, w + (_alpha(n, i),))
@@ -90,19 +96,19 @@ def m_minus_expr(i: int, transverse: int, n_max: int, intercept: Fraction) -> Op
 
 
 def _anomalous_coeff(m: int, *pairs: tuple[OperatorExpr, OperatorExpr]) -> Fraction:
-    """Minus the coefficient of alpha^1_{-m} alpha^2_m in the sum of the pairs' commutators."""
+    """The coefficient of alpha^1_{-m} alpha^2_m in the sum of the pairs' commutators."""
     word, partner = (("c", m, 1), ("a", m, 2)), (("c", m, 2), ("a", m, 1))
     comm = OperatorExpr()
     for left, right in pairs:
         comm = comm + commutator(left, right, words=(word, partner))
     coeff = comm.coefficient(word)
-    if not (coeff + comm.coefficient(partner)).is_zero():
+    if coeff + comm.coefficient(partner):
         raise AlgebraConsistencyError("anomalous bilinear is not antisymmetric in (i, j)")
-    return -coeff.as_rational()
+    return Fraction(coeff)
 
 
 def _anomalous_affine_parts(m: int, transverse: int, n_max: int) -> tuple[Fraction, Fraction]:
-    """a^0 and a^1 parts of Delta_m from [E^1, E^2] at ``transverse`` directions."""
+    """a^0 and a^1 parts of Delta_m from [Et^1, Et^2] at ``transverse`` directions."""
     e1, e2 = (m_minus_expr(i, transverse, n_max, 0) for i in (1, 2))
     y1, y2 = (position(i).scale(-1) for i in (1, 2))
     return _anomalous_coeff(m, (e1, e2)), _anomalous_coeff(m, (y1, e2), (e1, y2))

@@ -3,11 +3,12 @@
 Words are products of the generators
     ("c", n, i)  alpha_{-n}^i, the raising oscillator of mode n >= 1, direction i
     ("a", n, i)  alpha_n^i, its lowering partner
-    ("x", i)     the zero-mode position y^i = x^i / (2 alpha')^(1/2)
+    ("x", i)     the Euclidean zero-mode position -i y^i, y^i = x^i / (2 alpha')^(1/2)
     ("p", i)     the zero-mode momentum alpha_0^i = (2 alpha')^(1/2) p^i
 with the canonical commutators [alpha_m^i, alpha_{-n}^j] = m delta_mn delta_ij
-and [y^i, alpha_0^j] = i delta_ij; everything else commutes. Every weight
-that normal ordering produces is therefore a Gaussian rational. The
+and [-i y^i, alpha_0^j] = delta_ij; everything else commutes. Every weight
+that normal ordering produces is therefore an integer, and coefficients
+are Python ints and Fractions: the ring is the rationals. The
 canonical word order is raising oscillators, then positions, then
 momenta, then lowering oscillators, each block sorted by (mode,
 direction). Expressions store only canonical words, so canonicalization
@@ -19,38 +20,35 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Coeff, ONE, ZERO
-
 Token = tuple
 Word = tuple
+Rational = int | Fraction
 
 _CLASS = {"c": 0, "x": 1, "p": 2, "a": 3}
-_MINUS_I = Coeff.imaginary(-1)
 
 
 def creation(n: int, i: int) -> "OperatorExpr":
     """alpha_{-n}^i, which raises mode n >= 1 of direction i."""
-    return OperatorExpr({(("c", n, i),): ONE})
+    return OperatorExpr({(("c", n, i),): 1})
 
 
 def annihilation(n: int, i: int) -> "OperatorExpr":
     """alpha_n^i, which lowers mode n >= 1 of direction i: [alpha_n, alpha_{-n}] = n."""
-    return OperatorExpr({(("a", n, i),): ONE})
+    return OperatorExpr({(("a", n, i),): 1})
 
 
 def position(i: int) -> "OperatorExpr":
-    """y^i = x^i / (2 alpha')^(1/2), the zero-mode position."""
-    return OperatorExpr({(("x", i),): ONE})
+    """-i y^i, the Euclidean zero-mode position, with y^i = x^i / (2 alpha')^(1/2)."""
+    return OperatorExpr({(("x", i),): 1})
 
 
 def momentum(i: int) -> "OperatorExpr":
-    """alpha_0^i = (2 alpha')^(1/2) p^i, the zero-mode momentum: [y^i, alpha_0^i] = i."""
-    return OperatorExpr({(("p", i),): ONE})
+    """alpha_0^i = (2 alpha')^(1/2) p^i, the zero-mode momentum: [-i y^i, alpha_0^i] = 1."""
+    return OperatorExpr({(("p", i),): 1})
 
 
-def identity(coeff: Coeff | int | Fraction = 1) -> "OperatorExpr":
-    c = coeff if isinstance(coeff, Coeff) else Coeff.rational(coeff)
-    return OperatorExpr({(): c})
+def identity(coeff: Rational = 1) -> "OperatorExpr":
+    return OperatorExpr({(): coeff})
 
 
 def _sort_key(token: Token):
@@ -60,26 +58,20 @@ def _sort_key(token: Token):
     return (_CLASS[kind], token[1])
 
 
-@lru_cache(maxsize=None)
-def _level(n: int) -> Coeff:
-    """[alpha_n, alpha_{-n}] = n, one shared Coeff per mode."""
-    return Coeff.rational(n)
-
-
-def _swap_term(left: Token, right: Token) -> Coeff | None:
+def _swap_term(left: Token, right: Token) -> int | None:
     """Scalar commutator produced when moving ``left`` past ``right``."""
     if left[0] == "a" and right[0] == "c" and left[1:] == right[1:]:
-        return _level(left[1])
+        return left[1]
     if left[0] == "p" and right[0] == "x" and left[1] == right[1]:
-        return _MINUS_I
+        return -1
     return None
 
 
 @lru_cache(maxsize=1 << 17)
-def normal_order_word(word: Word) -> dict[Word, Coeff]:
-    """Rewrite a product of generators as canonical words with exact weights."""
-    out: dict[Word, Coeff] = {}
-    stack: list[tuple[Word, Coeff]] = [(word, ONE)]
+def normal_order_word(word: Word) -> dict[Word, int]:
+    """Rewrite a product of generators as canonical words with integer weights."""
+    out: dict[Word, int] = {}
+    stack: list[tuple[Word, int]] = [(word, 1)]
     while stack:
         w, weight = stack.pop()
         for idx in range(len(w) - 1):
@@ -123,15 +115,15 @@ class OperatorExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Word, Coeff] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+    def __init__(self, terms: dict[Word, Rational] | None = None):
+        self.terms = {w: c for w, c in (terms or {}).items() if c}
 
     @staticmethod
-    def from_raw_terms(raw: list[tuple[Coeff, Word]]) -> "OperatorExpr":
+    def from_raw_terms(raw: list[tuple[Rational, Word]]) -> "OperatorExpr":
         """Build an expression from possibly non-canonical words."""
-        out: dict[Word, Coeff] = {}
+        out: dict[Word, Rational] = {}
         for coeff, word in raw:
-            if coeff.is_zero():
+            if not coeff:
                 continue
             for canon, weight in normal_order_word(word).items():
                 _accumulate(out, canon, coeff * weight)
@@ -147,8 +139,7 @@ class OperatorExpr:
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
         return self + other.scale(-1)
 
-    def scale(self, value) -> "OperatorExpr":
-        value = value if isinstance(value, Coeff) else Coeff.rational(value)
+    def scale(self, value: Rational) -> "OperatorExpr":
         return OperatorExpr({w: c * value for w, c in self.terms.items()})
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -157,8 +148,8 @@ class OperatorExpr:
         )
 
     # -- queries -----------------------------------------------------------
-    def coefficient(self, word: Word) -> Coeff:
-        return self.terms.get(tuple(word), ZERO)
+    def coefficient(self, word: Word) -> Rational:
+        return self.terms.get(tuple(word), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,7 +163,7 @@ class OperatorExpr:
         parts = []
         for word, coeff in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
             name = "*".join(_token_name(t) for t in word) or "1"
-            parts.append(f"({coeff!r})*{name}")
+            parts.append(f"({coeff})*{name}")
         return " + ".join(parts)
 
 
@@ -182,13 +173,12 @@ def _token_name(token: Token) -> str:
         return f"alpha[-{token[1]},{token[2]}]"
     if kind == "a":
         return f"alpha[{token[1]},{token[2]}]"
-    return f"{'y' if kind == 'x' else 'alpha0'}[{token[1]}]"
+    return f"{'yhat' if kind == 'x' else 'alpha0'}[{token[1]}]"
 
 
-def _accumulate(store: dict[Word, Coeff], word: Word, coeff: Coeff) -> None:
-    existing = store.get(word)
-    total = coeff if existing is None else existing + coeff
-    if total.is_zero():
+def _accumulate(store: dict[Word, Rational], word: Word, coeff: Rational) -> None:
+    total = store.get(word, 0) + coeff
+    if not total:
         store.pop(word, None)
     else:
         store[word] = total
@@ -227,7 +217,7 @@ def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
     for w, c in B.terms.items():
         key = None if wanted is None else signature(w)
         groups.setdefault(key, []).append((w, c, _word_profile(w)))
-    out: dict[Word, Coeff] = {}
+    out: dict[Word, Rational] = {}
     for w1, c1 in A.terms.items():
         prof1, sig1 = _word_profile(w1), signature(w1)
         for key, items in groups.items():
@@ -241,8 +231,8 @@ def commutator(A: OperatorExpr, B: OperatorExpr, words=None) -> OperatorExpr:
                 backward = normal_order_word(w2 + w1)
                 c12 = None
                 for w in reachable or [*forward, *(b for b in backward if b not in forward)]:
-                    diff = forward.get(w, ZERO) - backward.get(w, ZERO)
-                    if not diff.is_zero():
+                    diff = forward.get(w, 0) - backward.get(w, 0)
+                    if diff:
                         if c12 is None:
                             c12 = c1 * c2
                         _accumulate(out, w, c12 * diff)

@@ -1,98 +1,21 @@
-"""Exact scalar coefficients for the operator algebra.
+"""Exact rational scalars for the operator algebra.
 
-A coefficient is a Gaussian rational re + i im. In alpha-normalized
-oscillators every weight of the light-cone generators is one, so the
-ring closes without radicals and anomaly cancellation is decided by exact
-zero tests, never by floating point.
+The operators' coefficients are plain Python ints and Fractions: in
+alpha-normalized oscillators with the Euclidean zero-mode position, every
+weight of the light-cone generators is rational, so anomaly cancellation
+is decided by exact zero tests, never by floating point. This module holds
+the anomaly polynomial in (D, a) and its exact solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
-
-_NIL = Fraction(0)
-# entries of each arithmetic memo below; one anomaly run needs a few hundred
-_CACHE_SIZE = 1 << 17
 
 
 def exact_fraction(value) -> Fraction:
     """``value`` as an exact rational; a float reads as the decimal it prints (0.1 -> 1/10)."""
     return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-
-
-# Coeff's memoized arithmetic, bound as its methods below: equal calls share one result
-@lru_cache(maxsize=_CACHE_SIZE)
-def _sum(a: Coeff, b: Coeff) -> Coeff:
-    return Coeff(a.re + b.re, a.im + b.im)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _difference(a: Coeff, b: Coeff) -> Coeff:
-    return Coeff(a.re - b.re, a.im - b.im)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _product(a: Coeff, b: Coeff) -> Coeff:
-    return Coeff(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
-
-
-class Coeff:
-    """Exact coefficient re + i im, with Fraction parts.
-
-    Immutable: nothing writes ``re`` or ``im`` after construction. Sums,
-    differences and products are memoized, so equal calls share one result
-    object, and the hash is computed once on first use.
-    """
-
-    __slots__ = ("re", "im", "_hash")
-
-    def __init__(self, re: Fraction = _NIL, im: Fraction = _NIL):
-        self.re = re
-        self.im = im
-        self._hash = None
-
-    @staticmethod
-    def rational(value) -> "Coeff":
-        return Coeff(Fraction(value))
-
-    @staticmethod
-    def imaginary(value=1) -> "Coeff":
-        return Coeff(_NIL, Fraction(value))
-
-    __add__ = _sum
-    __sub__ = _difference
-    __mul__ = _product
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Coeff) and self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.re, self.im))
-        return self._hash
-
-    def as_rational(self) -> Fraction:
-        """The real rational value; requires no imaginary part."""
-        if self.im:
-            raise ValueError(f"coefficient is not a real rational: {self}")
-        return self.re
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
-
-
-ZERO = Coeff()
-ONE = Coeff.rational(1)
 
 
 class PolyDA:

@@ -107,6 +107,14 @@ def _field_with_mass(x_min: float, x_max: float, rho: np.ndarray, S: np.ndarray)
     return field
 
 
+def check_ends(field: GridField, bound: float) -> None:
+    """Reject a field whose density at either grid end exceeds ``bound`` of its peak."""
+    end = max(field.rho[0], field.rho[-1]) / field.rho.max()
+    if not end <= bound:
+        raise ValidationError(f"density {end:.3g} of its peak at a grid end, over {bound:g}: widen "
+                              f"x_min = {field.x_min}, x_max = {field.x_max} or lower alpha_prime")
+
+
 def gaussian_field(x_min: float, x_max: float, points: int, mean: float, std: float) -> GridField:
     _check_grid(x_min, x_max, points)
     x = np.linspace(x_min, x_max, points)
@@ -334,6 +342,17 @@ def madelung_residual(
         raise ValidationError(
             f"no interior grid point off the node windows has a density above 1e-200 on "
             f"x_min = {field.x_min}, x_max = {field.x_max}; move the grid to where the density lies"
+        )
+    # the second difference of R carries a float noise of about eps max|log rho| / h^2;
+    # below 1e-3 of R's curvature n/(4 alpha'), it moves the residual by under 1e-3 of
+    # the osmotic term 2 alpha' R'' = n/2 that the residual balances
+    noise = np.finfo(float).eps * np.max(np.abs(2.0 * R[1:-1][keep])) / h**2
+    curvature = state.n / (4.0 * ap)
+    if not noise <= 1.0e-3 * curvature:
+        raise ValidationError(
+            f"the float noise {noise:.3g} of the log-density stencil is over 1e-3 of its "
+            f"curvature n/(4 alpha') = {curvature:.3g} at alpha_prime = {ap} with "
+            f"points = {field.points}; lower alpha_prime or points"
         )
     finite_excluded = residual[~keep]
     finite_excluded = finite_excluded[np.isfinite(finite_excluded)]

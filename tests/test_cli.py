@@ -331,11 +331,10 @@ def test_anomaly_computes_each_mode_once(tmp_path, monkeypatch):
 def test_algebra_consistency_failure_exit_code(tmp_path, capsys, monkeypatch):
     from stochastic_string.algebra import lorentz
     from stochastic_string.algebra.operators import OperatorExpr
-    from stochastic_string.algebra.scalars import ONE
 
     # equal, not opposite, coefficients on ad_{m,1} a_{m,2} and its partner
     def not_antisymmetric(A, B, words=()):
-        return OperatorExpr({w: ONE for w in words})
+        return OperatorExpr({w: 1 for w in words})
 
     monkeypatch.setattr(lorentz, "commutator", not_antisymmetric)
     code = run(["anomaly", "--m", "1", "--out", str(tmp_path), "--no-timestamp"])
@@ -681,6 +680,39 @@ def test_bracket_density_at_grid_end_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "x_min" in err and "x_max" in err and "alpha_prime" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha_prime, expected", [("1e200", EXIT_VALIDATION), ("100", EXIT_OK)])
+def test_madelung_stencil_noise_against_curvature(tmp_path, capsys, alpha_prime, expected):
+    # at alpha' = 1e200 the density is flat to 1e-200 across the grid: R'' = -n/(4 alpha')
+    # is far below the float noise (6e-13) of its stencil, and the run read a residual
+    # of 0.5; at alpha' = 100 the same grid resolves R'' and reads about 8.1e-13
+    code = run(["madelung-check", "--alpha-prime", alpha_prime, "--points", "41",
+                "--out", str(tmp_path), "--no-timestamp"])
+    assert code == expected
+    captured = capsys.readouterr()
+    if expected == EXIT_OK:
+        assert float(captured.out.rsplit("= ", 1)[1]) < 1e-11
+    else:
+        assert "alpha_prime" in captured.err and "points = 41" in captured.err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--alpha-prime", "100", "--points", "41", "--steps", "50"], EXIT_VALIDATION),
+    (["--alpha-prime", "2.5"], EXIT_VALIDATION),
+    (["--alpha-prime", "2"], EXIT_OK),
+], ids=lambda v: "-".join(v[1::2]) if isinstance(v, list) else f"exit{v}")
+def test_fpe_check_density_at_grid_end_exit_code(tmp_path, capsys, argv, expected):
+    # the reflecting walls hold the mass the free SDE carries past the grid ends; the
+    # evolved densities end at 0.94 (the run read L1 = 0.786), 0.037 and 0.016 of their
+    # peaks, against a bound of 0.02
+    code = run(["fpe-check", *argv, "-M", "50", "--out", str(tmp_path), "--no-timestamp"])
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected == EXIT_VALIDATION:
+        assert "x_min" in err and "x_max" in err and "alpha_prime" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -55,7 +55,6 @@ UNREACHED = {
     ("algebra/operators.py", "identity"): "reference",
     ("algebra/operators.py", "creation"): "reference",
     ("algebra/operators.py", "annihilation"): "reference",
-    ("algebra/scalars.py", "Coeff.__repr__"): "reference",
     ("algebra/scalars.py", "PolyDA.__eq__"): "reference",
     ("algebra/scalars.py", "PolyDA.is_zero"): "reference",
 }
