@@ -3,7 +3,9 @@
 Integrates dq = v_plus(q) dtau + dw with Euler-Maruyama, where the noise
 increment satisfies <dw> = 0 and <dw dw> = 2 nu_n dtau. Trajectory j is
 driven by the counter-based Philox stream keyed by (seed, j) from counter 0,
-so runs are bit-identical regardless of chunking or execution order. Each
+so runs are bit-identical regardless of chunking or execution order. The
+stream's first draws give q_0; for the stationary ground state the stream's
+first normal is q_0's, drawn in one call with the first noise block. Each
 stream's whole Philox state is a row of one table, from its key to its
 last draw. One ``Generator`` serves a whole ``simulate`` call: it is set
 to a trajectory's row before each block of draws, which yields exactly the
@@ -107,10 +109,9 @@ def _key_streams(streams: np.ndarray, seed: int, start: int) -> None:
 def _save_stream(rng: np.random.Generator, row: np.ndarray) -> None:
     """Store ``rng``'s whole Philox state in ``row`` of ``_STREAM_WORDS`` uint64."""
     state = rng.bit_generator.state
-    row[:4] = state["state"]["counter"]
-    row[4:6] = state["state"]["key"]
-    row[6:10] = state["buffer"]
-    row[10:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
+    philox = state["state"]
+    row[:] = (*philox["counter"].tolist(), *philox["key"].tolist(), *state["buffer"].tolist(),
+              state["buffer_pos"], state["has_uint32"], state["uinteger"])
 
 
 def _resume_stream(rng: np.random.Generator, row: np.ndarray) -> None:
@@ -135,7 +136,7 @@ def _chunk_width(count: int, held: int = 1) -> int:
 
 
 def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
-                  draw_initial: Callable[[np.random.Generator], float]):
+                  initial: Callable[[np.random.Generator], float] | tuple[float, float]):
     """Lay out the scaled noise of a run of ``count`` trajectories and yield
     ``(start, q0, first, block)`` over it, chunk by chunk and block by block.
 
@@ -155,14 +156,19 @@ def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
     ``(chunk, _STREAM_WORDS)`` table: keyed afresh for each chunk, set into
     the one ``Generator`` before each block and saved back if another block
     follows. ``q0`` holds the chunk's trajectories from ``start``, filled
-    before its first block (``first == 0``); ``block[t]`` is the noise of
-    step ``first + t`` and is overwritten by the next block.
+    with its first block (``first == 0``): ``initial(rng)`` per trajectory
+    before its noise, or for a pair ``(loc, sigma)`` as loc + sigma * z_0,
+    z_0 drawn in the same ``standard_normal`` call as the first block, one
+    tile column ahead of the noise. ``block[t]`` is the noise of step
+    ``first + t`` and is overwritten by the next block.
     """
     chunk = _chunk_width(count, held)
     block_steps = min(steps, _NOISE_VALUES // _CHUNK)
     tile_rows = min(_TILE, chunk)
+    # a (loc, sigma) start reads z_0 from one leading tile column of the first block
+    merged = isinstance(initial, tuple)
     noise = np.empty(chunk * block_steps)
-    tile = np.empty(tile_rows * block_steps)
+    tile = np.empty(tile_rows * (block_steps + 1 if merged else block_steps))
     table = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox())
     for start in range(0, count, chunk):
@@ -174,17 +180,21 @@ def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
             length = min(block_steps, steps - first)
             more = first + length < steps
             block = noise[: length * width].reshape(length, width)
+            lead = int(merged and first == 0)
             for top in range(0, width, tile_rows):
                 rows = min(tile_rows, width - top)
-                drawn = tile[: rows * length].reshape(rows, length)
+                drawn = tile[: rows * (lead + length)].reshape(rows, lead + length)
                 for j, row, stream in zip(range(top, top + rows), drawn, streams[top:]):
                     _resume_stream(rng, stream)
-                    if first == 0:
-                        q0[j] = draw_initial(rng)
+                    if first == 0 and not merged:
+                        q0[j] = initial(rng)
                     rng.standard_normal(out=row)
                     if more:
                         _save_stream(rng, stream)
-                np.multiply(drawn.T, scale, out=block[:, top : top + rows])
+                if lead:
+                    loc, sigma = initial
+                    np.add(loc, sigma * drawn[:, 0], out=q0[top : top + rows])
+                np.multiply(drawn[:, lead:].T, scale, out=block[:, top : top + rows])
             yield start, q0, first, block
 
 
@@ -267,7 +277,7 @@ def simulate(
             "chunk may hold; for a correlator, lower dtau_lag / recorded spacing + 1"
         )
 
-    draw_initial = _initial_sampler(mode_state, init)
+    initial = _initial_sampler(mode_state, init)
     nodes = mode_state.nodes()
     n_recorded = steps // record_stride + 1
     if count * n_recorded > MAX_FLOATS:
@@ -277,7 +287,7 @@ def simulate(
     node_crossings = 0
 
     scale = math.sqrt(2.0 * mode_state.nu * d_tau)
-    for start, q0, first, noise in _noise_blocks(seed, count, steps, held, scale, draw_initial):
+    for start, q0, first, noise in _noise_blocks(seed, count, steps, held, scale, initial):
         stop = start + len(q0)
         if first == 0:
             q = q0
@@ -323,8 +333,10 @@ def simulate(
 
 def _initial_sampler(
     mode_state: StationaryModeState, init
-) -> Callable[[np.random.Generator], float]:
-    """``rng -> q_0`` for one trajectory, with ``init`` dispatched once."""
+) -> Callable[[np.random.Generator], float] | tuple[float, float]:
+    """How each trajectory's q_0 is drawn, with ``init`` dispatched once:
+    ``rng -> q_0``, or for the stationary ground state the pair
+    ``(loc, sigma)`` of q_0 = loc + sigma * z_0, z_0 the stream's first normal."""
     if isinstance(init, str):
         if init != "stationary":
             raise ValidationError(f"unknown init mode {init!r}")
@@ -333,9 +345,8 @@ def _initial_sampler(
                 "zero mode has no stationary density; give a numeric init"
             )
         if mode_state.k == 0:
-            # the draw sample_stationary makes for the ground state
-            sigma = mode_state.sigma
-            return lambda rng: float(rng.normal(0.0, sigma))
+            # the draw sample_stationary makes for the ground state, rng.normal(0.0, sigma)
+            return 0.0, mode_state.sigma
         return lambda rng: float(mode_state.sample_stationary(rng, 1)[0])
     if callable(init):
         return lambda rng: float(np.asarray(init(rng, 1)).reshape(-1)[0])
@@ -374,6 +385,12 @@ class RateBins:
     def __init__(self, F, probe: np.ndarray, bin_half_width: float, d_tau: float,
                  backward: bool = False):
         n = len(probe)
+        # a sample's bin index counts the n + 1 edges at or below it in int16
+        if n + 1 > np.iinfo(np.int16).max:
+            raise ValidationError(
+                f"probe of {n} points has more bin edges than int16 counts "
+                f"(at most {np.iinfo(np.int16).max - 1} points)"
+            )
         self.F = F
         self.d_tau = d_tau
         self.bin_half_width = bin_half_width
@@ -389,8 +406,11 @@ class RateBins:
         n = len(self.centres) - 1
         # the last edge at or below each value, as searchsorted(side="right") - 1
         # finds it; NaN finds none (-1, not n), so it still reaches overflow
-        idx = np.count_nonzero(col >= self.edges[:, None], axis=0) - 1
-        bins = np.where(np.abs(col - self.centres[idx]) <= self.bin_half_width, idx, n)
+        above = (col >= self.edges[:, None]).view(np.int8)
+        idx = np.add.reduce(above, axis=0, dtype=np.int16) - 1
+        # an intp overflow index makes the bins intp, which bincount reads uncast
+        near = np.abs(col - self.centres.take(idx)) <= self.bin_half_width
+        bins = np.where(near, idx, np.intp(n))
         values = self.F(col)
         if t:
             last_col, last_bins, last_values = self._last
@@ -533,13 +553,15 @@ def second_law_check(
 def export_ensemble(ensemble: Ensemble, path: str | Path, header_lines: Sequence[str] = ()) -> None:
     """Write the ensemble as columnar text: trajectory_id, step, tau, q."""
     stride = ensemble.record_stride
-    columns = [
-        f" {t * stride} {tau!r} " for t, tau in enumerate(ensemble.recorded_taus().tolist())
-    ]
+    # one row template per run, "\0" standing for the trajectory id: each
+    # trajectory is one % format, so repr is the only work left per value
+    template = "".join(
+        f"\0 {t * stride} {tau!r} %r\n" for t, tau in enumerate(ensemble.recorded_taus().tolist())
+    )
     # one trajectory at a time: converting the whole ensemble to Python
     # floats at once would hold every sample as an object
     rows = (
-        "".join([f"{j}{col}{q!r}\n" for col, q in zip(columns, ensemble.samples[j].tolist())])
+        template.replace("\0", str(j)) % tuple(ensemble.samples[j].tolist())
         for j in range(ensemble.count)
     )
     write_artifact(path, header_lines, itertools.chain(["trajectory_id step tau q\n"], rows))

@@ -142,6 +142,24 @@ def test_ground_state_drift_bit_identical_to_log_gradient(params, monkeypatch, n
     assert np.array_equal(drift[1:], [-1e6, 1e6, 1e6])
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_forward_drift_array_of_empty_and_0d_inputs(params, k):
+    state = StationaryModeState(params, 1, k)
+    drift, clamped = state.forward_drift_array(np.empty(0))
+    assert (drift.shape, clamped) == ((0,), 0)
+    drift, clamped = state.forward_drift_array(np.float64(0.7))
+    assert type(drift) is float and clamped == 0
+    assert drift == state.nu * state.log_density_gradient(0.7)
+
+
+def test_cached_scales_keep_equal_states_equal(params):
+    cached, fresh = StationaryModeState(params, 2, 1), StationaryModeState(params, 2, 1)
+    assert (cached.nu, cached.scale) == (params.diffusion(2), math.sqrt(2 / (4 * params.alpha_prime)))
+    assert "nu" in vars(cached) and "nu" not in vars(fresh)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert {cached: 1}[fresh] == 1
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_excited_drift_and_density_match_hermite_series(params, k):
     # oracle: numpy's Hermite series for H_k and H_k', away from the nodes

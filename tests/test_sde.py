@@ -192,8 +192,11 @@ def _inf_above(x):
         (lambda x: x, np.array([0.3]), 0.1, True),
         # narrow bins leave gaps between them whose samples count nowhere
         (lambda x: x, np.linspace(-2, 2, 9), 0.1, True),
+        # 202 edges: a sample's edge count passes int8's 127 above x = 0.54
+        (lambda x: x, np.linspace(-2, 2, 201), 0.01, True),
     ],
-    ids=["x-default-probe", "x2", "fit-grid-overlapping", "inf-part", "one-point", "gaps"],
+    ids=["x-default-probe", "x2", "fit-grid-overlapping", "inf-part", "one-point", "gaps",
+         "long-probe"],
 )
 def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, probe, w, backward):
     queries = [(F, True), (F, False)] if backward else [(F, True)]
@@ -215,6 +218,14 @@ def test_conditional_rates_equal_per_query_reference(params, ground_spec, F, pro
         for got_stats, expected_stats in zip(got, expected):
             for a, b in zip(got_stats, expected_stats):
                 assert np.array_equal(a, b)
+
+
+def test_rate_bins_reject_a_probe_beyond_int16():
+    limit = np.iinfo(np.int16).max
+    bins = sde.RateBins(lambda x: x, np.linspace(-1, 1, limit - 1), 1e-5, 1e-3)
+    assert len(bins.edges) == limit
+    with pytest.raises(ValidationError, match=f"probe of {limit} points"):
+        sde.RateBins(lambda x: x, np.linspace(-1, 1, limit), 1e-5, 1e-3)
 
 
 def _edge_columns(bins):
@@ -385,6 +396,7 @@ _LAYOUTS = {
     "chunks": (16, 16 * 12, 5),  # chunks of 14, 14, 12 in tiles of 5
     "blocks": (64, 64 * 5, 64),  # blocks of 5, 5, 2 steps
     "chunks-and-blocks": (16, 16 * 5, 5),
+    "tile-of-one": (64, 64 * 5, 1),  # single-row tiles across blocks of 5, 5, 2 steps
 }
 
 
@@ -575,6 +587,20 @@ def test_export_matches_row_by_row_format(tmp_path, params, ground_spec):
         f"{j} {t * 3} {float(taus[t])!r} {float(q)!r}\n"
         for j in range(ens.count)
         for t, q in enumerate(ens.samples[j])
+    ]
+    assert path.read_text() == "trajectory_id step tau q\n" + "".join(rows)
+
+    # 12 trajectories, so ids 10 and 11 have two digits, of every float edge
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e16, 1.0, -2.5e-300]
+    samples = np.resize(np.array(values), (12, 5))
+    samples[11] = [0.1, 0.2, 0.3, -1e-7, 12345.678]
+    ens = sde.Ensemble(StationaryModeState(params, 1), d_tau=0.01, steps=8, record_stride=2,
+                       samples=samples)
+    sde.export_ensemble(ens, path)
+    rows = [
+        f"{j} {step} {tau!r} {q!r}\n"
+        for j in range(12)
+        for step, tau, q in zip(range(0, 9, 2), ens.recorded_taus().tolist(), samples[j].tolist())
     ]
     assert path.read_text() == "trajectory_id step tau q\n" + "".join(rows)
 
