@@ -13,15 +13,26 @@ draws of ``Generator(Philox(key=[seed, j]))`` without building one per
 trajectory, and the row takes the state back when another block follows,
 so the noise drawn ahead is bounded however large ``steps`` is. A run is
 split into the fewest equal chunks that bound allows, and its noise is
-sized to the widest chunk it really has, not to the cap. An observer
-passed to ``simulate`` sees the amplitudes after every step, so a check
-such as ``RateBins`` can bin a run without storing it.
+sized to the widest chunk it really has, not to the cap. A large block on
+a machine with two CPUs is drawn by two processes: a helper forked for
+the run fills the lower half of each block's tiles in shared memory while
+the run's own process fills the upper half, and a byte on a pipe each way
+brackets every block. Every tile is a function of (seed, trajectory)
+alone, so the block, and every sample, counter and artifact, is the same
+bit for bit as a one-process run's; the Euler steps, the drift and the
+observers stay in the run's own process. An observer passed to
+``simulate`` sees the amplitudes after every step, so a check such as
+``RateBins`` can bin a run without storing it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import mmap
+import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -41,6 +52,8 @@ _CHUNK = 4096
 _NOISE_VALUES = 2**22
 # trajectories whose noise rows are drawn into one tile, then transposed
 _TILE = 64
+# noise values of a block from which a forked helper draws half its tiles
+_SHARED_VALUES = 2**20
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -135,6 +148,27 @@ def _chunk_width(count: int, held: int = 1) -> int:
     return -(-count // chunks)
 
 
+def _shared(shape, dtype=float) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: what a forked process writes
+    into it, its parent reads."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
+
+
+def _await_helper(helper: int, replies: int) -> None:
+    """Wait for the noise helper ``helper`` to report its tiles of a block
+    on ``replies``: return when they are drawn, raise what it raised."""
+    reply = os.read(replies, 1)
+    if reply == b".":
+        return
+    if not reply:
+        raise RuntimeError(f"the noise helper (process {helper}) ended before drawing its tiles")
+    pickled = b""
+    while more := os.read(replies, 1 << 16):
+        pickled += more
+    raise pickle.loads(pickled)
+
+
 def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
                   initial: Callable[[np.random.Generator], float] | tuple[float, float]):
     """Lay out the scaled noise of a run of ``count`` trajectories and yield
@@ -150,52 +184,134 @@ def _noise_blocks(seed: int, count: int, steps: int, held: int, scale: float,
     by (seed, j), first gives q_0 and then its noise in order, one block of
     ``_NOISE_VALUES // _CHUNK`` steps at a time, so the noise drawn ahead is
     at most ``_NOISE_VALUES`` values (32 MiB) however large ``steps`` is.
-    Each stream fills one row of a tile of ``_TILE`` trajectories; the tile
-    is scaled and transposed into a step-major block, so that step t reads
-    ``block[t]`` contiguously. Every stream's state is a row of one
-    ``(chunk, _STREAM_WORDS)`` table: keyed afresh for each chunk, set into
-    the one ``Generator`` before each block and saved back if another block
-    follows. ``q0`` holds the chunk's trajectories from ``start``, filled
-    with its first block (``first == 0``): ``initial(rng)`` per trajectory
-    before its noise, or for a pair ``(loc, sigma)`` as loc + sigma * z_0,
-    z_0 drawn in the same ``standard_normal`` call as the first block, one
-    tile column ahead of the noise. ``block[t]`` is the noise of step
-    ``first + t`` and is overwritten by the next block.
+    ``fill`` draws a block's tiles: each stream fills one row of a tile of
+    ``_TILE`` trajectories, which is scaled and transposed into a step-major
+    block, so that step t reads ``block[t]`` contiguously. Every stream's
+    state is a row of one ``(chunk, _STREAM_WORDS)`` table: keyed afresh for
+    each chunk, set into the one ``Generator`` before each block and saved
+    back if another block follows. ``q0`` is a new array of the chunk's
+    trajectories from ``start``, filled with its first block
+    (``first == 0``): ``initial(rng)`` per trajectory before its noise, or
+    for a pair ``(loc, sigma)`` as loc + sigma * z_0, z_0 drawn in the same
+    ``standard_normal`` call as the first block, one tile column ahead of
+    the noise. ``block[t]`` is the noise of step ``first + t`` and is
+    overwritten by the next block.
+
+    A block of two tiles or more and at least ``_SHARED_VALUES`` values, on
+    a process allowed two CPUs, is drawn by two processes. The noise block,
+    stream table and q_0 then live in shared memory (``_shared``), each of
+    the size of the private array it replaces, and one helper is forked for
+    the run, with its own tile and ``Generator``. For each block the parent
+    keys the streams (a chunk's first block), writes one byte on a pipe and
+    fills the upper half of the chunk's tiles while the helper fills the
+    lower half; the helper writes one byte back, and only then is the block
+    yielded. Each tile is a function of (seed, trajectory) alone, so the
+    block is the one the parent alone would draw, bit for bit. An error in
+    the helper's tiles (from ``initial``) is pickled back and raised with
+    its type and message (one that its pickle cannot rebuild, as a
+    ``RuntimeError`` naming its type); it comes first, as its tiles do in a
+    one-process fill. A helper that dies raises a ``RuntimeError`` naming it. The
+    helper ends when the generator does, and is reaped then, so the caller
+    closes the generator before it returns or raises.
     """
     chunk = _chunk_width(count, held)
     block_steps = min(steps, _NOISE_VALUES // _CHUNK)
     tile_rows = min(_TILE, chunk)
     # a (loc, sigma) start reads z_0 from one leading tile column of the first block
     merged = isinstance(initial, tuple)
-    noise = np.empty(chunk * block_steps)
+    split = (chunk > tile_rows and chunk * block_steps >= _SHARED_VALUES
+             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+    new = _shared if split else np.empty
+    noise = new(chunk * block_steps)
+    table = new((chunk, _STREAM_WORDS), np.uint64)
+    q0 = new(chunk)
+    if split:
+        (orders, order), (replies, reply) = os.pipe(), os.pipe()
+        try:
+            helper = os.fork()
+        except OSError:
+            for fd in (orders, order, replies, reply):
+                os.close(fd)
+            raise
     tile = np.empty(tile_rows * (block_steps + 1 if merged else block_steps))
-    table = np.empty((chunk, _STREAM_WORDS), dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox())
-    for start in range(0, count, chunk):
+
+    def fill(start: int, first: int, tiles: range) -> np.ndarray:
+        """Draw the tiles whose first rows are ``tiles`` into the block of
+        steps from ``first`` of the chunk from ``start``; return the block."""
         width = min(chunk, count - start)
-        streams = table[:width]
-        _key_streams(streams, seed, start)
-        q0 = np.empty(width)
-        for first in range(0, steps, block_steps):
-            length = min(block_steps, steps - first)
-            more = first + length < steps
-            block = noise[: length * width].reshape(length, width)
-            lead = int(merged and first == 0)
-            for top in range(0, width, tile_rows):
-                rows = min(tile_rows, width - top)
-                drawn = tile[: rows * (lead + length)].reshape(rows, lead + length)
-                for j, row, stream in zip(range(top, top + rows), drawn, streams[top:]):
-                    _resume_stream(rng, stream)
-                    if first == 0 and not merged:
-                        q0[j] = initial(rng)
-                    rng.standard_normal(out=row)
-                    if more:
-                        _save_stream(rng, stream)
-                if lead:
-                    loc, sigma = initial
-                    np.add(loc, sigma * drawn[:, 0], out=q0[top : top + rows])
-                np.multiply(drawn[:, lead:].T, scale, out=block[:, top : top + rows])
-            yield start, q0, first, block
+        length = min(block_steps, steps - first)
+        more = first + length < steps
+        block = noise[: length * width].reshape(length, width)
+        lead = int(merged and first == 0)
+        for top in tiles:
+            rows = min(tile_rows, width - top)
+            drawn = tile[: rows * (lead + length)].reshape(rows, lead + length)
+            for j, row, stream in zip(range(top, top + rows), drawn, table[top:]):
+                _resume_stream(rng, stream)
+                if first == 0 and not merged:
+                    q0[j] = initial(rng)
+                rng.standard_normal(out=row)
+                if more:
+                    _save_stream(rng, stream)
+            if lead:
+                loc, sigma = initial
+                np.add(loc, sigma * drawn[:, 0], out=q0[top : top + rows])
+            np.multiply(drawn[:, lead:].T, scale, out=block[:, top : top + rows])
+        return block
+
+    blocks = itertools.product(range(0, count, chunk), range(0, steps, block_steps))
+    if split and helper == 0:
+        # the helper: the lower half of each block's tiles, one block per byte read
+        try:
+            os.close(order)
+            os.close(replies)
+            for start, first in blocks:
+                if not os.read(orders, 1):
+                    break
+                tiles = range(0, min(chunk, count - start), tile_rows)
+                try:
+                    fill(start, first, tiles[: len(tiles) // 2])
+                except Exception as exc:
+                    try:
+                        pickled = pickle.dumps(exc)
+                        pickle.loads(pickled)
+                    except Exception:
+                        pickled = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    with os.fdopen(reply, "wb") as out:
+                        out.write(b"!" + pickled)
+                    break
+                os.write(reply, b".")
+        finally:
+            os._exit(0)
+    try:
+        if split:
+            os.close(orders)
+            os.close(reply)
+        for start, first in blocks:
+            width = min(chunk, count - start)
+            if first == 0:
+                _key_streams(table[:width], seed, start)
+            tiles = range(0, width, tile_rows)
+            if split:
+                os.write(order, b".")
+                try:
+                    block = fill(start, first, tiles[len(tiles) // 2 :])
+                except Exception:
+                    # an error in the helper's tiles comes first, as they do
+                    _await_helper(helper, replies)
+                    raise
+                _await_helper(helper, replies)
+            else:
+                block = fill(start, first, tiles)
+            if first == 0:
+                chunk_q0 = q0[:width].copy()
+            yield start, chunk_q0, first, block
+    finally:
+        if split:
+            os.close(order)
+            os.close(replies)
+            os.wait4(helper, 0)
 
 
 def spawn_seed(seed: int, n: int, i: int) -> int:
@@ -238,7 +354,10 @@ def simulate(
     there), or a callable ``(rng, size) -> array``. Each trajectory consumes
     its own Philox stream keyed by (seed, trajectory index): the first draws
     initialize q_0, the rest drive the noise, so results do not depend on
-    chunk boundaries. The noise scale is the mode's diffusion constant
+    chunk boundaries or on which process draws a trajectory's noise. So a
+    callable ``init`` must be a pure function of the ``rng`` it is given:
+    it may be called in a forked helper process, whose changes to any other
+    state the run never sees. The noise scale is the mode's diffusion constant
     nu_n, fixed by alpha'. Mode ``n`` must lie in 0..mode_cutoff and the
     direction ``i`` in 1..D-2.
 
@@ -250,6 +369,8 @@ def simulate(
     them, at most ``_NOISE_VALUES``. With ``record_stride = steps`` and an
     observer, memory is bounded by ``count`` however large ``steps`` is:
     ``_noise_blocks`` lays out the chunks, noise blocks and stream table.
+    A noise helper it forks has ended by the time ``simulate`` returns or
+    raises.
     """
     params.validate()
     if not 0 < d_tau < math.inf:
@@ -287,38 +408,41 @@ def simulate(
     node_crossings = 0
 
     scale = math.sqrt(2.0 * mode_state.nu * d_tau)
-    for start, q0, first, noise in _noise_blocks(seed, count, steps, held, scale, initial):
-        stop = start + len(q0)
-        if first == 0:
-            q = q0
-            _check_initial_drift(nodes, q, start)
-            samples[start:stop, 0] = q
-            if observe is not None:
-                observe(0, q)
-            if nodes.size:
-                domain = np.searchsorted(nodes, q)
-        # finiteness is checked explicitly each step; let overflows reach it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, dw in enumerate(noise, first + 1):
-                drift, clamped = mode_state.forward_drift_array(q)
-                clamp_events += clamped
-                # q + drift * d_tau + dw, built in the fresh drift array;
-                # the column an observer kept is never written again
-                drift *= d_tau
-                drift += q
-                drift += dw
-                q = drift
-                if not np.isfinite(q).all():
-                    j = int(np.argmax(~np.isfinite(q)))
-                    raise NonFiniteSampleError(start + j, t)
-                if nodes.size:
-                    next_domain = np.searchsorted(nodes, q)
-                    node_crossings += int(np.count_nonzero(next_domain != domain))
-                    domain = next_domain
-                if t % record_stride == 0:
-                    samples[start:stop, t // record_stride] = q
+    # closed here, not when collected, so that a noise helper never outlives the call
+    blocks = _noise_blocks(seed, count, steps, held, scale, initial)
+    with contextlib.closing(blocks):
+        for start, q0, first, noise in blocks:
+            stop = start + len(q0)
+            if first == 0:
+                q = q0
+                _check_initial_drift(nodes, q, start)
+                samples[start:stop, 0] = q
                 if observe is not None:
-                    observe(t, q)
+                    observe(0, q)
+                if nodes.size:
+                    domain = np.searchsorted(nodes, q)
+            # finiteness is checked explicitly each step; let overflows reach it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, dw in enumerate(noise, first + 1):
+                    drift, clamped = mode_state.forward_drift_array(q)
+                    clamp_events += clamped
+                    # q + drift * d_tau + dw, built in the fresh drift array;
+                    # the column an observer kept is never written again
+                    drift *= d_tau
+                    drift += q
+                    drift += dw
+                    q = drift
+                    if not np.isfinite(q).all():
+                        j = int(np.argmax(~np.isfinite(q)))
+                        raise NonFiniteSampleError(start + j, t)
+                    if nodes.size:
+                        next_domain = np.searchsorted(nodes, q)
+                        node_crossings += int(np.count_nonzero(next_domain != domain))
+                        domain = next_domain
+                    if t % record_stride == 0:
+                        samples[start:stop, t // record_stride] = q
+                    if observe is not None:
+                        observe(t, q)
 
     return Ensemble(
         state=mode_state,

@@ -5,7 +5,8 @@ A fresh interpreter, so that no cache filled by another test hides a call,
 runs ``cli.run`` in-process at tiny sizes under a ``sys.setprofile`` hook
 that records every package function entered. The runs cover all eight
 commands, occupations k = 0, 1 and 2, the zero mode, a ``--config`` file, a
-run of two noise blocks, a Fokker-Planck horizon long enough for the banded
+run of two noise blocks, a run whose noise a forked helper draws half of
+(on one CPU too), a Fokker-Planck horizon long enough for the banded
 sub-step power, a negative value after its flag, ``cli.main`` and reading a
 header back with ``RunConfig.from_header``. An ``ast`` walk of ``src/`` lists
 the functions defined; the ones never called must be exactly ``UNREACHED``.
@@ -60,7 +61,7 @@ UNREACHED = {
 }
 
 _PROBE_SCRIPT = """
-import json, sys, threading
+import json, os, sys, threading
 from pathlib import Path
 import stochastic_string
 from stochastic_string import cli
@@ -76,6 +77,8 @@ runs = [
     ["simulate", "--n", "0", "--momentum", "0.3", "--init", "0.1", "-M", "3", "--steps", "5"],
     # 1030 steps: two noise blocks of 1024 steps
     ["simulate", "-M", "2", "--steps", "1030", "--record-stride", "1030"],
+    # a block of 1024 x 1024 values: a forked helper draws half its tiles
+    ["simulate", "-M", "1024", "--steps", "1024", "--record-stride", "1024"],
     ["correlate", "-M", "4", "--d-tau", "0.1", "--dtau-lag", "0.2"],
     # about 50 Fokker-Planck sub-steps: two banded runs of 24 and a remainder
     ["fpe-check", "-M", "5", "--d-tau", "0.01", "--steps", "30", "--points", "101"],
@@ -86,6 +89,8 @@ runs = [
     ["transport-check", "-M", "200", "--steps", "20"],
 ]
 seen = set()
+# the helper runs only where two CPUs are allowed; its functions are reached on one too
+os.sched_getaffinity = lambda pid: {0, 1}
 
 def hook(frame, event, arg):
     if event == "call" and frame.f_code.co_filename.startswith(root):
@@ -137,7 +142,7 @@ def test_every_function_reached_or_listed(tmp_path):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     record = json.loads((tmp_path / "reached.json").read_text())
-    assert record["codes"] == [0] * 13, done.stderr
+    assert record["codes"] == [0] * 14, done.stderr
     defined = _defined()
     assert set(UNREACHED) <= defined, "listed but not defined"
     never_called = defined - {tuple(r) for r in record["reached"]}

@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from stochastic_string.core import ModeStateSpec, ValidationError
+from stochastic_string.observables import LagProducts
 from stochastic_string.drift import StationaryModeState
 from stochastic_string import drift, sde
 from stochastic_string.sde import (
@@ -685,3 +687,271 @@ def test_observer_leaves_run_unchanged(params, monkeypatch, spec):
     assert np.array_equal(observed.samples, plain.samples)
     assert observed.clamp_events == plain.clamp_events
     assert observed.node_crossings == plain.node_crossings
+
+
+# ---------------------------------------------------------------- noise helper
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """Turns on the forked noise helper for every block of two tiles or more,
+    whatever its size and the machine's CPU count, and turns it off again:
+    ``helper(True)`` returns the list that every fork's pid is appended to."""
+    fork = os.fork
+    forks = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def switch(on: bool) -> list[int]:
+        monkeypatch.setattr(sde, "_SHARED_VALUES", 1 if on else 2**62)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks.clear()
+        return forks
+
+    yield switch
+    _assert_no_child()
+
+
+def _trajectory(rng: np.random.Generator) -> int:
+    """The trajectory whose freshly keyed stream ``rng`` is: a pure function of it."""
+    return rng.bit_generator.state["state"]["key"][1]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize(
+    "spec, init",
+    [
+        (ModeStateSpec(), "stationary"),
+        (ModeStateSpec(occupations={(1, 1): 1}), "stationary"),
+        (ModeStateSpec(), lambda rng, size: rng.random(size, dtype=np.float32)),
+    ],
+    ids=["k0", "k1", "callable-float32"],
+)
+def test_helper_equals_one_process_in_every_layout(params, monkeypatch, helper, spec, init,
+                                                   layout):
+    monkeypatch.setattr(drift, "_DRIFT_CAP", 0.5)
+    for name, value in zip(("_CHUNK", "_NOISE_VALUES", "_TILE"), _LAYOUTS[layout]):
+        monkeypatch.setattr(sde, name, value)
+    kwargs = dict(init=init, d_tau=0.1, steps=12, count=40, seed=2**64 - 3)
+    helper(False)
+    alone = simulate(params, spec, 1, 1, **kwargs)
+    forks = helper(True)
+    split = simulate(params, spec, 1, 1, **kwargs)
+    _assert_no_child()
+    chunk = sde._chunk_width(40)
+    # one helper per run, and none for a block of one tile
+    assert len(forks) == (chunk > min(sde._TILE, chunk))
+    expected = _fresh_stream_reference(params, spec, 1, 1, **kwargs)
+    assert split.samples.tobytes() == alone.samples.tobytes() == expected.tobytes()
+    assert (split.clamp_events, split.node_crossings) == (alone.clamp_events, alone.node_crossings)
+    assert split.clamp_events > 0
+
+
+def test_helper_observers_equal_one_process(params, ground_spec, monkeypatch, helper):
+    # chunks of 234, 234, 232 in tiles of 16, blocks of 25, 25, 10 steps
+    monkeypatch.setattr(sde, "_CHUNK", 300)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 300 * 25)
+    monkeypatch.setattr(sde, "_TILE", 16)
+    state = sde._resolve_state(params, ground_spec, 1, 1)
+    results = []
+    for on in (False, True):
+        forks = helper(on)
+        rates = sde.transport_bins(state, lambda x: x**2, 1e-2)
+        second = sde.second_law_bins(state, 1e-2)
+        products = LagProducts(state, 1e-2, 2, [0, 3, 10])
+        for observer in (rates, second, products):
+            simulate(params, ground_spec, 1, 1, d_tau=1e-2, steps=60, count=700, seed=31,
+                     observe=observer)
+        assert len(forks) == 3 * on
+        results.append([
+            (bins.rate_sums.tobytes(), bins.pos_sums.tobytes(), bins.counts.tobytes())
+            for bins in (rates, second)
+        ] + [products.estimate(lag) for lag in products.lags])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "argv, artifacts",
+    [
+        (["transport-check", "-M", "700", "--steps", "40"], ["transport.txt"]),
+        (["fpe-check", "-M", "300", "--steps", "40", "--points", "101"],
+         ["fpe_check.txt", "fpe_density.txt"]),
+        (["correlate", "-M", "300", "--d-tau", "0.1", "--dtau-lag", "0.2"],
+         ["correlator.txt", "correlator.json"]),
+    ],
+    ids=["transport-check", "fpe-check", "correlate"],
+)
+def test_helper_artifacts_byte_identical(tmp_path, monkeypatch, helper, argv, artifacts):
+    from stochastic_string.cli import EXIT_OK, run
+
+    monkeypatch.setattr(sde, "_TILE", 16)
+    written = []
+    for on in (False, True):
+        forks = helper(on)
+        out = tmp_path / str(on)
+        assert run([*argv, "--out", str(out), "--no-timestamp"]) == EXIT_OK
+        assert len(forks) == on
+        written.append([(out / name).read_bytes() for name in artifacts])
+    assert written[0] == written[1]
+
+
+def test_helper_gone_after_non_finite_sample_in_a_later_block(params, ground_spec, monkeypatch,
+                                                             helper):
+    # as in test_non_finite_sample_named_alike_in_a_later_block, from a start
+    # that is a function of the stream alone
+    monkeypatch.setattr(drift, "_DRIFT_CAP", np.inf)
+    monkeypatch.setattr(sde, "_CHUNK", 4)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 4 * 8)
+    monkeypatch.setattr(sde, "_TILE", 2)
+    kwargs = dict(init=lambda rng, size: np.full(size, 1e290 if _trajectory(rng) == 5 else 1.0),
+                  d_tau=10.0, steps=30, count=10, seed=1)
+    raised = []
+    for on in (False, True):
+        forks = helper(on)
+        with pytest.raises(sde.NonFiniteSampleError) as error:
+            simulate(params, ground_spec, 1, 1, **kwargs)
+        _assert_no_child()
+        assert len(forks) == on
+        raised.append((error.value.trajectory, error.value.step, str(error.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == 5 and 16 < raised[0][1] <= 24
+
+
+def test_helper_gone_after_an_observer_raises(params, ground_spec, monkeypatch, helper):
+    monkeypatch.setattr(sde, "_TILE", 4)
+
+    def observe(t, col):
+        if t == 3:
+            raise KeyError("observer")
+
+    forks = helper(True)
+    with pytest.raises(KeyError, match="observer"):
+        simulate(params, ground_spec, 1, 1, d_tau=1e-2, steps=10, count=20, seed=2, observe=observe)
+    _assert_no_child()
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("first_bad", [3, 17], ids=["helper-tiles", "parent-tiles"])
+def test_init_error_in_either_half_reaches_the_caller(params, ground_spec, monkeypatch, helper,
+                                                      first_bad):
+    # tiles of 4 over 20 trajectories: the helper draws 0-7, the parent 8-19;
+    # every trajectory from ``first_bad`` on fails, so at 3 both halves raise
+    # and the error is trajectory 3's, as in one process
+    monkeypatch.setattr(sde, "_TILE", 4)
+
+    def init(rng, size):
+        if _trajectory(rng) >= first_bad:
+            raise ValidationError(f"no start for trajectory {_trajectory(rng)}")
+        return np.zeros(size)
+
+    for on in (False, True):
+        forks = helper(on)
+        with pytest.raises(ValidationError) as error:
+            simulate(params, ground_spec, 1, 1, init=init, d_tau=1e-2, steps=10, count=20, seed=2)
+        _assert_no_child()
+        assert len(forks) == on
+        assert type(error.value) is ValidationError
+        assert str(error.value) == f"no start for trajectory {first_bad}"
+
+
+def test_helper_error_that_cannot_be_rebuilt_keeps_its_message(params, ground_spec, monkeypatch,
+                                                               helper):
+    # NonFiniteSampleError pickles but does not unpickle (its __init__ takes
+    # two arguments): it reaches the caller as a RuntimeError with its text
+    monkeypatch.setattr(sde, "_TILE", 4)
+
+    def init(rng, size):
+        raise sde.NonFiniteSampleError(_trajectory(rng), 0)
+
+    forks = helper(True)
+    with pytest.raises(RuntimeError) as error:
+        simulate(params, ground_spec, 1, 1, init=init, d_tau=1e-2, steps=10, count=20, seed=2)
+    _assert_no_child()
+    assert len(forks) == 1
+    assert str(error.value) == "NonFiniteSampleError: non-finite sample in trajectory 0 at step 0"
+
+
+def test_helper_that_dies_is_a_numerical_failure(tmp_path, params, ground_spec, monkeypatch,
+                                                 helper, capsys):
+    from stochastic_string.cli import EXIT_NUMERICAL, run
+
+    parent = os.getpid()
+    resume = sde._resume_stream
+
+    def resume_or_die(rng, row):
+        if os.getpid() != parent:
+            os._exit(3)
+        resume(rng, row)
+
+    monkeypatch.setattr(sde, "_resume_stream", resume_or_die)
+    monkeypatch.setattr(sde, "_TILE", 16)
+    forks = helper(True)
+    with pytest.raises(RuntimeError, match=r"noise helper \(process \d+\) ended"):
+        simulate(params, ground_spec, 1, 1, d_tau=1e-2, steps=10, count=100, seed=2)
+    _assert_no_child()
+    code = run(["transport-check", "-M", "100", "--steps", "10", "--out", str(tmp_path),
+                "--no-timestamp"])
+    assert code == EXIT_NUMERICAL
+    assert f"noise helper (process {forks[-1]}) ended" in capsys.readouterr().err
+    assert len(forks) == 2
+
+
+def test_one_cpu_never_forks(params, ground_spec, monkeypatch):
+    monkeypatch.setattr(sde, "_SHARED_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ens = simulate(params, ground_spec, 1, 1, d_tau=1e-2, steps=10, count=500, seed=2)
+    assert np.isfinite(ens.samples).all()
+
+
+def test_helper_shared_arrays_sized_to_the_widest_chunk(params, ground_spec, monkeypatch, helper):
+    # tracemalloc does not see shared memory, so the shared arrays are
+    # measured as made: chunks of 129 and 128 in blocks of 512 steps, the
+    # same at both step counts; the in-process sizes of
+    # test_noise_sized_to_the_widest_chunk
+    monkeypatch.setattr(sde, "_CHUNK", 256)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 256 * 512)
+    monkeypatch.setattr(sde, "_TILE", 8)
+    shared = sde._shared
+    made = []
+    monkeypatch.setattr(sde, "_shared", lambda *a: made.append(shared(*a)) or made[-1])
+    width = sde._chunk_width(sde._CHUNK + 1)
+    sizes = []
+    for steps in (1024, 4096):
+        made.clear()
+        helper(True)
+        simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=steps, count=sde._CHUNK + 1, seed=7,
+                 record_stride=steps)
+        sizes.append([(a.shape, a.dtype, a.nbytes) for a in made])
+    assert sizes[0] == sizes[1]
+    noise, table, q0 = sizes[0]
+    assert noise == ((width * 512,), np.float64, 8 * width * 512)
+    assert table == ((width, sde._STREAM_WORDS), np.uint64, 8 * width * sde._STREAM_WORDS)
+    assert q0 == ((width,), np.float64, 8 * width)
+
+
+def test_helper_noise_within_its_budget(params, ground_spec, monkeypatch, helper):
+    # at the default sizes a full chunk's shared noise is the 32 MiB budget
+    shared = sde._shared
+    made = []
+    monkeypatch.setattr(sde, "_shared", lambda *a: made.append(shared(*a)) or made[-1])
+    forks = helper(True)
+    simulate(params, ground_spec, 1, 1, d_tau=1e-3, steps=sde._NOISE_VALUES // sde._CHUNK,
+             count=sde._CHUNK, seed=8, record_stride=sde._NOISE_VALUES // sde._CHUNK)
+    assert len(forks) == 1
+    assert made[0].nbytes == 8 * sde._NOISE_VALUES == 32 * 2**20
